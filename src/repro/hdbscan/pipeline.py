@@ -128,6 +128,10 @@ def hdbscan(
     ValueError
         If ``points`` is not a 2-d array or ``dendrogram_algorithm`` is
         not one of :data:`DENDROGRAM_ALGORITHMS`.
+    InvalidGraphError
+        If ``points`` has ``d = 0``, a non-finite coordinate, or
+        coordinates whose squared distances overflow float64 (checked
+        whatever the debug-checks setting).
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2:

@@ -19,6 +19,7 @@ import numpy as np
 from ..parallel.machine import emit
 
 __all__ = [
+    "box_gap2",
     "sq_dist_block",
     "dist_block",
     "mutual_reachability_block",
@@ -67,4 +68,28 @@ def pairwise_mutual_reachability(
     np.fill_diagonal(d, 0.0)
     out = mutual_reachability_block(d, core, core)
     np.fill_diagonal(out, 0.0)
+    return out
+
+
+def box_gap2(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
+    """Squared gap between paired axis-aligned boxes, row by row.
+
+    ``(lo_a[i], hi_a[i])`` against ``(lo_b[i], hi_b[i])``; zero where the
+    boxes touch or overlap.  A point is the degenerate box ``(q, q)``.  The
+    one box-distance formula of the spatial front-end: kNN pruning and the
+    Boruvka pair bounds both call it.
+
+    Squares are summed in coordinate order, as SciPy's ``sqeuclidean``
+    ``cdist`` and the fused kernels sum a point distance.  Each gap term is
+    at most the matching coordinate difference, so with the same order the
+    rounded bound never exceeds the rounded ``d2`` of any point pair it
+    bounds; ``einsum``'s blocked sum (d >= 3) can, by one ulp, and then
+    prunes an exact neighbor.
+    """
+    delta = np.maximum(lo_a - hi_b, 0.0)
+    delta += np.maximum(lo_b - hi_a, 0.0)
+    delta *= delta
+    out = delta[:, 0].copy()
+    for c in range(1, delta.shape[1]):
+        out += delta[:, c]
     return out

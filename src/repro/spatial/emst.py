@@ -60,7 +60,8 @@ from ..parallel.primitives import (
     spatial_seed_scan,
 )
 from ..parallel.workspace import index_dtype
-from .kdtree import KDTree
+from .distances import box_gap2
+from .kdtree import KDTree, validate_points
 
 __all__ = ["EMSTResult", "KNNArtifact", "emst", "core_distances", "knn_graph"]
 
@@ -116,6 +117,11 @@ def knn_graph(
     KNNArtifact
         The tree plus ``(n, k)`` neighbor distances and ids, bit-identical
         across all registered backends.
+
+    Raises
+    ------
+    InvalidGraphError
+        If ``points`` fails :func:`~repro.spatial.kdtree.validate_points`.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     if tree is None:
@@ -201,8 +207,11 @@ def emst(
     ValueError
         If ``points`` is empty, or a supplied ``knn`` artifact covers a
         different point count or has fewer columns than this call needs.
+    InvalidGraphError
+        If ``points`` fails :func:`~repro.spatial.kdtree.validate_points`
+        (not ``(n, d)`` with ``d >= 1``, non-finite, or overflowing).
     """
-    points = np.ascontiguousarray(points, dtype=np.float64)
+    points = validate_points(points)
     n = points.shape[0]
     if n == 0:
         raise ValueError("need at least one point")
@@ -360,9 +369,7 @@ def _traverse(
     bk = get_backend()
 
     def lower_bounds(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        delta = np.maximum(box_lo[a] - box_hi[b], 0.0)
-        delta += np.maximum(box_lo[b] - box_hi[a], 0.0)
-        lb = np.einsum("ij,ij->i", delta, delta)
+        lb = box_gap2(box_lo[a], box_hi[a], box_lo[b], box_hi[b])
         if mutual:
             np.maximum(lb, node_min_core2[a], out=lb)
             np.maximum(lb, node_min_core2[b], out=lb)

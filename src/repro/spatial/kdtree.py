@@ -8,14 +8,17 @@ backend kernels rather than per-point Python.
 
 Construction
 ------------
-``build`` is iterative and level-synchronous: one preallocated flat-array
-arena (no Python recursion, no list appends), one bulk segmented partition
-kernel per tree level (:meth:`repro.parallel.backend.Backend.
-spatial_partition` -- every node of the level sorts its slice by the split
-coordinate in a single stable sort, so the resulting permutation is
-deterministic even under coordinate ties), and one ``reduceat`` box pass
-per level.  Index arrays follow :func:`repro.parallel.workspace.
-index_dtype` (the PR-1 dtype-adaptivity contract).
+``build`` first checks the cloud with :func:`validate_points` (always on:
+``d = 0``, non-finite or overflowing coordinates raise
+``InvalidGraphError``).  It is iterative and level-synchronous: one
+preallocated flat-array arena (no Python recursion, no list appends), one
+bulk segmented partition kernel per tree level
+(:meth:`repro.parallel.backend.Backend.spatial_partition` -- every node of
+the level sorts its slice by the split coordinate in a single stable sort,
+so the resulting permutation is deterministic even under coordinate ties),
+and one ``reduceat`` box pass per level.  Index arrays follow
+:func:`repro.parallel.workspace.index_dtype` (the PR-1 dtype-adaptivity
+contract).
 
 Layout
 ------
@@ -43,12 +46,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..parallel.machine import debug_checks, emit
+from ..parallel.machine import emit
 from ..parallel.primitives import spatial_knn, spatial_partition
 from ..parallel.workspace import index_dtype
 from ..structures.edgelist import InvalidGraphError
+from .distances import box_gap2
 
-__all__ = ["KDTree"]
+__all__ = ["KDTree", "validate_points"]
 
 #: Fault-injection seam (site ``knn``): ``repro.engine.faults`` installs a
 #: hook here; the cost while uninstalled is one ``is not None`` check.
@@ -59,6 +63,38 @@ def _poke() -> None:
     hook = _FAULT_HOOK
     if hook is not None:
         hook("knn")
+
+
+def validate_points(points, what: str = "points") -> np.ndarray:
+    """Return ``points`` as a contiguous float64 ``(n, d)`` array, or raise.
+
+    Always on, whatever :func:`~repro.parallel.machine.debug_checks` says:
+    a cloud with ``d = 0``, a non-finite coordinate, or a coordinate so
+    large that a squared distance (at most ``4 * d * max|x|**2``) overflows
+    float64 would turn the kNN and EMST kernels' arithmetic into garbage
+    rather than a slower failure.  ``n = 0`` passes (an empty tree).  Costs
+    two O(n * d) reductions.
+
+    Raises
+    ------
+    InvalidGraphError
+        For any of the above, or an array that is not 2-d.
+    """
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    if points.ndim != 2:
+        raise InvalidGraphError(f"{what} must be (n, d), got {points.shape}")
+    n, d = points.shape
+    if d == 0:
+        raise InvalidGraphError(f"{what} need at least one coordinate")
+    if n:
+        lo, hi = points.min(), points.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise InvalidGraphError(f"{what} must be finite")
+        if max(hi, -lo) > np.sqrt(np.finfo(np.float64).max / (4 * d)):
+            raise InvalidGraphError(
+                f"{what} too large: squared distances overflow float64"
+            )
+    return points
 
 
 @dataclass
@@ -83,15 +119,9 @@ class KDTree:
         """Construct by level-synchronous median split on the widest box
         dimension: every level partitions all its splittable nodes in one
         bulk segmented-sort kernel over preallocated arrays."""
-        points = np.ascontiguousarray(points, dtype=np.float64)
-        if points.ndim != 2:
-            raise InvalidGraphError(
-                f"points must be (n, d), got {points.shape}"
-            )
+        points = validate_points(points)
         if leaf_size < 1:
             raise InvalidGraphError("leaf_size must be >= 1")
-        if debug_checks() and points.size and not np.isfinite(points).all():
-            raise InvalidGraphError("points must be finite")
         _poke()
         n, d = points.shape
 
@@ -258,17 +288,13 @@ class KDTree:
 
         ``q`` is (m, d), ``node_ids`` (m,): elementwise pairing.
         """
-        lo = self.box_lo[node_ids]
-        hi = self.box_hi[node_ids]
-        delta = np.maximum(lo - q, 0.0) + np.maximum(q - hi, 0.0)
         emit("kdtree.point_box_dist", "map", int(np.size(node_ids)))
-        return np.einsum("ij,ij->i", delta, delta)
+        return box_gap2(q, q, self.box_lo[node_ids], self.box_hi[node_ids])
 
     def min_sq_dist_box_box(self, a: int, b: int) -> float:
         """Min squared distance between two nodes' boxes."""
-        delta = np.maximum(self.box_lo[a] - self.box_hi[b], 0.0)
-        delta += np.maximum(self.box_lo[b] - self.box_hi[a], 0.0)
-        return float(delta @ delta)
+        lo, hi = self.box_lo, self.box_hi
+        return float(box_gap2(lo[[a]], hi[[a]], lo[[b]], hi[[b]])[0])
 
     # ------------------------------------------------------------------- kNN
     def query_knn(
@@ -281,8 +307,8 @@ class KDTree:
         Distances are Euclidean; ids carry the tree's index dtype.  One
         logical ``kdtree.knn`` record of ``m * k``, whatever the backend.
         """
-        queries = np.ascontiguousarray(queries, dtype=np.float64)
-        if queries.ndim != 2 or queries.shape[1] != self.points.shape[1]:
+        queries = validate_points(queries, "queries")
+        if queries.shape[1] != self.points.shape[1]:
             raise InvalidGraphError("queries must be (m, d) with matching d")
         n = self.n_points
         if n == 0:

@@ -1,18 +1,27 @@
 """NumPy reference realizations of the spatial kernel vocabulary.
 
 These are the bulk-vectorized bodies behind the ``spatial_*`` methods of
-:class:`repro.parallel.backend.NumpyBackend` -- extracted from the
-pre-backend kd-tree/Boruvka code so the JIT backends have a bit-exact
-reference to match.  Nothing here emits kernel records (the backend method
-accounts the one logical kernel) and nothing here imports the backend layer
-(this module sits above it; the backend loads it lazily).
+:class:`repro.parallel.backend.NumpyBackend`, and the bit-exact reference
+the JIT backends match.  Nothing here emits kernel records (the backend
+method accounts the one logical kernel) and nothing here imports the
+backend layer (this module sits above it; the backend loads it lazily).
+
+The kNN query (:func:`knn_blockwise`) works on *query groups* -- the
+queries that share a home node, normally their leaf -- rather than on
+single queries: a vectorized descent forms the groups and their bounds,
+one level-synchronous frontier of ``(group, node)`` pairs prunes the tree
+for all groups at once (the shape of the Boruvka traversal in
+:mod:`repro.spatial.emst`), and each group ends in one distance block and
+one sort.  The Python loops run once per group, never per node visit.
 
 Determinism conventions shared with the fused realizations:
 
 * kNN answers are the ``k`` smallest ``(squared distance, point id)`` pairs
   per query -- a unique set, so any exact traversal agrees bit for bit.
 * Node pruning visits on *equality* (``lower_bound <= bound``): an
-  equal-distance smaller-id candidate is never pruned away.
+  equal-distance smaller-id candidate is never pruned away.  Box lower
+  bounds come from one formula,
+  :func:`repro.spatial.distances.box_gap2`.
 * All nearest-foreign ties keep the first point in tree order (NumPy's
   ``argmin`` first-occurrence rule == the fused kernels' strict ``<``).
 * Squared distances come from SciPy's ``cdist`` ``sqeuclidean`` kernel,
@@ -24,102 +33,145 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from .distances import box_gap2
+
 __all__ = ["knn_blockwise", "node_reduce", "seed_scan", "leaf_pairs"]
+
+#: Largest ``cdist`` block the kNN kernel materializes (16 MiB of float64):
+#: a group whose queries times candidates exceeds it runs in row chunks.
+BLOCK_ENTRIES = 1 << 21
 
 
 def knn_blockwise(tree, queries, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact batched kNN, two-pass block formulation.
+    """Exact batched kNN as three bulk steps over query groups.
 
-    Pass 1 routes every query to its home leaf simultaneously and
-    brute-forces there to initialize per-query bounds; pass 2 is a stack
-    traversal carrying query subsets, pruning each query by its k-th
-    squared distance against the node box (visiting on equality).  Leaf
-    interactions are (queries x leaf) distance blocks merged into the
-    running k-best rows in ``(d2, id)`` order.  Returns ``(d2, ids)`` with
-    ``ids`` int64 (the backend narrows to the tree's index dtype).
+    1. **Home nodes.**  Every query descends the split planes at once,
+       stopping at the deepest node that still holds ``k`` points (its
+       leaf, unless the leaf is smaller than ``k``).  Queries sharing a home
+       node form a group.  A query's bound is its k-th smallest ``d2``
+       among the home node's points; the group's bound is the largest of
+       them, and the group's box is the bounding box of its queries.
+    2. **Frontier.**  One level-synchronous walk over ``(group, node)``
+       pairs drops a pair when the gap between the group box and the node
+       box exceeds the group bound (visiting on equality) and collects the
+       surviving leaves.
+    3. **Selection.**  Per group, one ``cdist`` block against the points of
+       its surviving leaves; see :func:`_k_smallest`.
+
+    Every true neighbor of a query lies within that query's bound, hence
+    within the group bound, so it survives the frontier; extra candidates
+    cannot change the unique k-smallest ``(d2, id)`` set.  Returns
+    ``(d2, ids)`` with ``ids`` int64 (the backend narrows to the tree's
+    index dtype).
     """
-    pts = tree.points
-    n = int(pts.shape[0])
+    n = tree.n_points
     m = int(queries.shape[0])
+    out_d2 = np.empty((m, k))
+    out_id = np.empty((m, k), dtype=np.int64)
+    if m == 0 or k == 0:
+        return out_d2, out_id
+    pts_perm = tree.points_perm
     left, right = tree.left, tree.right
-    start, end = tree.start, tree.end
-    indices = tree.indices
+    start = tree.start.astype(np.int64)
+    size = tree.end - start
 
-    best_d2 = np.full((m, k), np.inf)
-    best_id = np.full((m, k), n, dtype=np.int64)  # sentinel: sorts last
-    bound = np.full(m, np.inf)  # current k-th squared distance per query
+    # --- 1. home nodes, query groups, group boxes and bounds
+    home = np.zeros(m, dtype=np.int64)
+    active = np.arange(m)
+    while active.size:
+        nd = home[active]
+        internal = left[nd] >= 0
+        active, nd = active[internal], nd[internal]
+        go_left = queries[active, tree.split_dim[nd]] < tree.split_val[nd]
+        child = np.where(go_left, left[nd], right[nd]).astype(np.int64)
+        deep = size[child] >= k
+        active = active[deep]
+        home[active] = child[deep]
+    order = np.argsort(home, kind="stable")
+    first = np.flatnonzero(np.diff(home[order], prepend=-1))
+    groups = np.split(order, first[1:])
+    g_home = home[order[first]]
+    q_sorted = queries[order]
+    g_lo = np.minimum.reduceat(q_sorted, first, axis=0)
+    g_hi = np.maximum.reduceat(q_sorted, first, axis=0)
+    q_bound = np.empty(m)
+    g_bound = np.empty(len(groups))
+    for g, (qs, h) in enumerate(zip(groups, g_home)):
+        home_pts = pts_perm[start[h]: start[h] + size[h]]
+        for rows in _row_chunks(qs, home_pts.shape[0]):
+            d2 = cdist(queries[rows], home_pts, "sqeuclidean")
+            q_bound[rows] = np.partition(d2, k - 1, axis=1)[:, k - 1]
+        g_bound[g] = q_bound[qs].max()
 
-    def leaf_update(qs: np.ndarray, leaf: int) -> None:
-        ids = indices[start[leaf]: end[leaf]]
-        if ids.size == 0:
-            return
-        d2 = cdist(queries[qs], pts[ids], "sqeuclidean")
-        merged_d = np.concatenate([best_d2[qs], d2], axis=1)
-        merged_i = np.concatenate(
-            [best_id[qs],
-             np.broadcast_to(ids.astype(np.int64), (qs.size, ids.size))],
-            axis=1,
-        )
-        # Stable sort by id, mask duplicate ids (a pass-1 home leaf
-        # revisited in pass 2) to the (inf, sentinel) empty slot, then a
-        # stable sort by d2: rows land in (d2, id) lexicographic order.
-        oc = np.argsort(merged_i, axis=1, kind="stable")
-        si = np.take_along_axis(merged_i, oc, axis=1)
-        sd = np.take_along_axis(merged_d, oc, axis=1)
-        dup = np.zeros_like(si, dtype=bool)
-        dup[:, 1:] = si[:, 1:] == si[:, :-1]
-        sd[dup] = np.inf
-        si[dup] = n
-        od = np.argsort(sd, axis=1, kind="stable")
-        best_d2[qs] = np.take_along_axis(sd, od, axis=1)[:, :k]
-        best_id[qs] = np.take_along_axis(si, od, axis=1)[:, :k]
-        bound[qs] = best_d2[qs, -1]
+    # --- 2. frontier of (group, node) pairs -> surviving leaves
+    pg = np.arange(len(groups))
+    pn = np.zeros(len(groups), dtype=np.int64)
+    hit_g, hit_n = [], []
+    while pg.size:
+        near = box_gap2(g_lo[pg], g_hi[pg], tree.box_lo[pn],
+                        tree.box_hi[pn]) <= g_bound[pg]
+        pg, pn = pg[near], pn[near]
+        leaf = left[pn] < 0
+        hit_g.append(pg[leaf])
+        hit_n.append(pn[leaf])
+        pg, pn = pg[~leaf], pn[~leaf]
+        pg = np.concatenate([pg, pg])
+        pn = np.concatenate([left[pn], right[pn]]).astype(np.int64)
+    hit_g = np.concatenate(hit_g)
+    by_group = np.argsort(hit_g, kind="stable")
+    hit_g, hit_n = hit_g[by_group], np.concatenate(hit_n)[by_group]
+    # Tree positions of every candidate, group after group, ids ascending
+    # within a group (the selection's tie order).
+    lens = size[hit_n]
+    ends = np.cumsum(lens)
+    pos = np.arange(int(ends[-1]), dtype=np.int64) + np.repeat(
+        start[hit_n] - (ends - lens), lens
+    )
+    ids = tree.indices[pos].astype(np.int64)
+    by_id = np.argsort(np.repeat(hit_g, lens) * np.int64(n) + ids)
+    pos, ids = pos[by_id], ids[by_id]
+    bounds = np.concatenate([[0], ends])[
+        np.searchsorted(hit_g, np.arange(len(groups) + 1))
+    ]
 
-    # --- pass 1: vectorized descend to home leaves, grouped brute force
-    node = np.zeros(m, dtype=np.int64)
-    while True:
-        internal = left[node] >= 0
-        if not internal.any():
-            break
-        sel = np.nonzero(internal)[0]
-        nd = node[sel]
-        dim = tree.split_dim[nd]
-        go_left = queries[sel, dim] < tree.split_val[nd]
-        node[sel] = np.where(go_left, left[nd], right[nd])
-    order = np.argsort(node, kind="stable")
-    boundaries = np.nonzero(np.diff(node[order]))[0] + 1
-    for grp in np.split(order, boundaries):
-        if grp.size:
-            leaf_update(grp, int(node[grp[0]]))
+    # --- 3. one distance block and one selection per group
+    for g, qs in enumerate(groups):
+        sl = slice(bounds[g], bounds[g + 1])
+        cand_pts = pts_perm[pos[sl]]
+        for rows in _row_chunks(qs, cand_pts.shape[0]):
+            d2 = cdist(queries[rows], cand_pts, "sqeuclidean")
+            out_d2[rows], out_id[rows] = _k_smallest(
+                d2, ids[sl], q_bound[rows], k
+            )
+    return out_d2, out_id
 
-    # --- pass 2: bounded traversal with query subsets
-    box_lo, box_hi = tree.box_lo, tree.box_hi
-    stack: list[tuple[int, np.ndarray]] = [(0, np.arange(m, dtype=np.int64))]
-    while stack:
-        nid, qs = stack.pop()
-        q = queries[qs]
-        delta = np.maximum(box_lo[nid] - q, 0.0) + np.maximum(
-            q - box_hi[nid], 0.0
-        )
-        d2box = np.einsum("ij,ij->i", delta, delta)
-        # Visit on equality: under the (d2, id) contract an equal-distance
-        # smaller-id candidate must never be pruned.
-        qs = qs[d2box <= bound[qs]]
-        if qs.size == 0:
-            continue
-        if left[nid] == -1:
-            leaf_update(qs, nid)
-            continue
-        lc, rc = int(left[nid]), int(right[nid])
-        dim = int(tree.split_dim[nid])
-        if np.median(queries[qs, dim]) < tree.split_val[nid]:
-            stack.append((rc, qs))
-            stack.append((lc, qs))
-        else:
-            stack.append((lc, qs))
-            stack.append((rc, qs))
 
-    return best_d2, best_id
+def _row_chunks(rows: np.ndarray, cols: int):
+    """Split a group's query rows so each distance block stays within
+    :data:`BLOCK_ENTRIES` (one chunk for ordinary leaf-sized groups)."""
+    step = max(1, BLOCK_ENTRIES // max(cols, 1))
+    return (rows[i: i + step] for i in range(0, rows.size, step))
+
+
+def _k_smallest(d2: np.ndarray, ids: np.ndarray, bound: np.ndarray,
+                k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the ``k`` smallest ``(d2, id)`` pairs in ascending order.
+
+    ``ids`` label the columns in ascending order and ``bound`` is each
+    row's home-node bound: at least ``k`` entries of a row lie within it,
+    and so does the row's answer.  Only those entries are sorted -- stably
+    by ``d2``, then stably by row -- so each row's run lists its entries
+    in ``(d2, id)`` order and its first ``k`` are the answer, ties at the
+    k-th value included.
+    """
+    cols = d2.shape[1]
+    flat = np.flatnonzero(d2 <= bound[:, None])
+    o = np.argsort(d2.ravel()[flat], kind="stable")
+    row = (flat[o] // cols).astype(np.int32)
+    o = o[np.argsort(row, kind="stable")]
+    counts = np.bincount(row, minlength=d2.shape[0])
+    pick = flat[o[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]]
+    return d2.ravel()[pick], ids[pick % cols]
 
 
 def node_reduce(tree, values_perm: np.ndarray, kind: str) -> np.ndarray:

@@ -18,6 +18,22 @@ def run_example(name: str, capsys) -> str:
     return capsys.readouterr().out
 
 
+def shrink(monkeypatch, name: str, n_max: int) -> list[int]:
+    """Cap the point count of the ``repro.data`` generator ``name`` (the
+    name the examples import) and return the list of sizes it ran with."""
+    import repro.data as data
+
+    original = getattr(data, name)
+    sizes: list[int] = []
+
+    def capped(n, **kw):
+        sizes.append(min(n, n_max))
+        return original(sizes[-1], **kw)
+
+    monkeypatch.setattr(data, name, capped)
+    return sizes
+
+
 @pytest.mark.slow
 class TestExamples:
     def test_quickstart(self, capsys):
@@ -35,22 +51,15 @@ class TestExamples:
         assert "extrapolated" in out
 
     def test_cosmology_fof(self, capsys, monkeypatch):
-        # shrink the particle count for CI-speed
-        import repro.data.cosmology as cosmo
-
-        original = cosmo.hacc_like
-        monkeypatch.setattr(
-            cosmo, "hacc_like", lambda n, **kw: original(min(n, 5000), **kw)
-        )
+        # The example imports ``hacc_like`` from ``repro.data``: patch that
+        # name, and check the shrink really took effect.
+        sizes = shrink(monkeypatch, "hacc_like", 5000)
         out = run_example("cosmology_fof.py", capsys)
         assert "halo mass function" in out
+        assert sizes == [5000]
 
     def test_gps_hotspots(self, capsys, monkeypatch):
-        import repro.data.trajectories as traj
-
-        original = traj.ngsim_like
-        monkeypatch.setattr(
-            traj, "ngsim_like", lambda n, **kw: original(min(n, 5000), **kw)
-        )
+        sizes = shrink(monkeypatch, "ngsim_like", 5000)
         out = run_example("gps_hotspots.py", capsys)
         assert "identical dendrograms verified" in out
+        assert sizes == [5000]

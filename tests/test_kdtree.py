@@ -174,25 +174,29 @@ class TestAdversarialKNN:
     """
 
     @staticmethod
-    def _reference(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    def _reference(
+        pts: np.ndarray, k: int, queries: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         from scipy.spatial.distance import cdist
 
+        q = pts if queries is None else queries
         n = pts.shape[0]
-        D = cdist(pts, pts, "sqeuclidean")
-        ids = np.empty((n, k), dtype=np.int64)
-        d2 = np.empty((n, k))
-        for i in range(n):
+        D = cdist(q, pts, "sqeuclidean")
+        ids = np.empty((q.shape[0], k), dtype=np.int64)
+        d2 = np.empty((q.shape[0], k))
+        for i in range(q.shape[0]):
             order = np.lexsort((np.arange(n), D[i]))[:k]
             ids[i] = order
             d2[i] = D[i, order]
         return d2, ids
 
-    def _check(self, pts: np.ndarray, k: int, leaf_size: int) -> None:
+    def _check(self, pts: np.ndarray, k: int, leaf_size: int,
+               queries: np.ndarray | None = None) -> None:
         pts = np.ascontiguousarray(pts, dtype=np.float64)
         k = min(k, pts.shape[0])
         tree = KDTree.build(pts, leaf_size=leaf_size)
-        dists, ids = tree.query_knn(pts, k)
-        ref_d2, ref_ids = self._reference(pts, k)
+        dists, ids = tree.query_knn(pts if queries is None else queries, k)
+        ref_d2, ref_ids = self._reference(pts, k, queries)
         assert np.array_equal(ids.astype(np.int64), ref_ids)
         assert np.array_equal(dists, np.sqrt(ref_d2))
 
@@ -237,3 +241,135 @@ class TestAdversarialKNN:
         pts = np.array([[-0.0, 0.0], [0.0, -0.0], [1.0, 0.0],
                         [-1.0, -0.0], [0.0, 1.0], [-0.0, -1.0]])
         self._check(pts, 3, 2)
+
+    def test_foreign_queries_outside_box_and_on_splits(self, rng):
+        pts = rng.integers(0, 12, size=(150, 2)).astype(float)
+        tree = KDTree.build(pts, leaf_size=6)
+        internal = np.nonzero(tree.left >= 0)[0]
+        # Queries sitting exactly on split planes (both routing branches
+        # of ``<``), plus queries far outside the tree's bounding box.
+        on_split = pts[rng.integers(0, 150, size=internal.size)].copy()
+        on_split[np.arange(internal.size), tree.split_dim[internal]] = (
+            tree.split_val[internal]
+        )
+        outside = rng.integers(-40, 52, size=(40, 2)).astype(float)
+        outside[:20, 0] = rng.choice([-40.0, 60.0], size=20)
+        queries = np.concatenate([on_split, outside])
+        self._check(pts, 7, 6, queries)
+
+    @pytest.mark.parametrize("k", [5, 13, 40])
+    def test_k_larger_than_leaf_size(self, rng, k):
+        # Leaves hold at most 4 points, so every query's home node is an
+        # internal node holding at least ``k`` points.
+        pts = rng.integers(0, 9, size=(120, 2)).astype(float)
+        self._check(pts, k, 4)
+        self._check(pts, k, 4, rng.integers(-3, 12, size=(25, 2)) * 1.0)
+
+    @pytest.mark.parametrize("k", [2, 4, 6, 9, 12])
+    def test_grid_ties_straddle_kth_column(self, k):
+        # On a unit grid every point has 4 neighbors at d2 = 1, 4 at 2,
+        # 4 at 4, ...: for these k the k-th column falls inside a tie run,
+        # so ids alone decide which tied neighbors make the cut.
+        g = np.arange(7, dtype=float)
+        pts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+        for leaf_size in (3, 8):
+            self._check(pts, k, leaf_size)
+            self._check(pts, k, leaf_size, pts[::-1] + 0.5)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_dimensions_one_to_six(self, rng, d):
+        pts = rng.integers(0, 5, size=(160, d)).astype(float)
+        self._check(pts, 8, 10)
+        self._check(pts, 8, 10, rng.integers(-2, 7, size=(30, d)) * 1.0)
+
+    @pytest.mark.parametrize("seed", [183, 1385, 1425, 1484])
+    def test_scaled_grid_corner_ties(self, seed):
+        # Grids with a non-integer step round their squared distances, and
+        # queries and points sit on box corners.  A box bound summed in a
+        # different order than ``cdist`` sums d2 can exceed an exact
+        # neighbor's d2 by one ulp and prune it; these seeds hit that.
+        r = np.random.default_rng(seed)
+        d = int(r.integers(3, 7))
+        step = r.choice([0.1, 0.3, 0.7, 1.1, 0.01])
+        pts = r.integers(0, 6, size=(int(r.integers(60, 300)), d)) * step
+        queries = r.integers(-3, 9, size=(40, d)) * step
+        k, leaf_size = int(r.integers(1, 12)), int(r.integers(2, 20))
+        self._check(pts, k, leaf_size, queries)
+        self._check(pts, k, leaf_size)
+
+    def test_row_chunked_blocks(self, rng, monkeypatch):
+        # A group whose distance block would exceed BLOCK_ENTRIES runs in
+        # row chunks (one duplicate-extent leaf holds every point here);
+        # chunking must not change the answer.
+        from repro.spatial import kernels
+
+        monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 50)
+        self._check(np.full((40, 2), 3.0), 6, 4)
+        self._check(rng.integers(0, 6, size=(90, 3)).astype(float), 7, 8,
+                    rng.integers(-5, 11, size=(20, 3)) * 1.0)
+
+
+def _one_coordinate(value):
+    def poison(p):
+        p = p.copy()
+        p[3, 1] = value
+        return p
+    return poison
+
+
+HOSTILE_CLOUDS = {
+    "nan": _one_coordinate(np.nan),
+    "inf": _one_coordinate(-np.inf),
+    "huge": lambda p: p * 1e200,
+    "d0": lambda p: p[:, :0],
+}
+
+
+class TestPointValidation:
+    """Hostile point clouds fail with ``InvalidGraphError`` on every
+    point-cloud entry, with debug checks on or off."""
+
+    @pytest.mark.parametrize("debug", [True, False])
+    @pytest.mark.parametrize("kind", sorted(HOSTILE_CLOUDS))
+    @pytest.mark.parametrize("entry", ["hdbscan", "emst", "knn_graph"])
+    def test_rejected(self, rng, entry, kind, debug):
+        from repro import InvalidGraphError
+        from repro.hdbscan import hdbscan
+        from repro.parallel import debug_checks_set
+        from repro.spatial import emst, knn_graph
+
+        call = {
+            "hdbscan": lambda p: hdbscan(p, mpts=3),
+            "emst": lambda p: emst(p, mpts=3),
+            "knn_graph": lambda p: knn_graph(p, 3),
+        }[entry]
+        pts = HOSTILE_CLOUDS[kind](rng.normal(size=(200, 2)))
+        with debug_checks_set(debug), pytest.raises(InvalidGraphError):
+            call(pts)
+
+    def test_single_point_cloud_validated(self):
+        from repro import InvalidGraphError
+        from repro.spatial import emst
+
+        with pytest.raises(InvalidGraphError):
+            emst(np.array([[np.nan, 0.0]]))
+
+    def test_largest_safe_scale_accepted(self, rng):
+        # Just inside the limit the kernels must still agree with brute
+        # force: no squared distance reaches inf.
+        d = 2
+        limit = np.sqrt(np.finfo(np.float64).max / (4 * d))
+        pts = rng.uniform(-1.0, 1.0, size=(60, d)) * limit
+        tree = KDTree.build(pts, leaf_size=8)
+        dists, ids = tree.query_knn(pts, 4)
+        assert np.isfinite(dists).all()
+        ref_d2, ref_ids = TestAdversarialKNN._reference(pts, 4)
+        assert np.array_equal(ids.astype(np.int64), ref_ids)
+
+    def test_foreign_queries_validated(self, rng):
+        from repro import InvalidGraphError
+
+        tree = KDTree.build(rng.normal(size=(50, 2)))
+        for bad in (np.array([[np.inf, 0.0]]), np.array([[1e300, 0.0]])):
+            with pytest.raises(InvalidGraphError):
+                tree.query_knn(bad, 2)

@@ -86,3 +86,23 @@ class TestSpatialParity:
         assert np.array_equal(got.dendrogram.parent, ref.dendrogram.parent)
         assert got.mst.w.sum() == ref.mst.w.sum()
         assert np.array_equal(got.labels, ref.labels)
+
+    @pytest.mark.parametrize("seed", [1385, 1484])
+    def test_knn_identical_on_scaled_grid(self, backend, regime, seed):
+        """Non-integer grids in d >= 3: rounded d2 plus box-corner ties.
+        The NumPy box bound must round like the fused kernels' in-order
+        sums, or it prunes neighbors they keep."""
+        r = np.random.default_rng(seed)
+        d = int(r.integers(3, 7))
+        step = r.choice([0.1, 0.3, 0.7, 1.1, 0.01])
+        pts = r.integers(0, 6, size=(int(r.integers(60, 300)), d)) * step
+        queries = r.integers(-3, 9, size=(40, d)) * step
+        k, leaf_size = int(r.integers(1, 12)), int(r.integers(2, 20))
+        out = {}
+        for name in ("numpy", backend):
+            with dtype_regime(regime), use_backend(name):
+                tree = KDTree.build(pts, leaf_size=leaf_size)
+                out[name] = [tree.query_knn(q, k) for q in (queries, pts)]
+        for (rd, ri), (gd, gi) in zip(out["numpy"], out[backend]):
+            assert np.array_equal(gd, rd)
+            assert np.array_equal(gi, ri)
