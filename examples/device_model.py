@@ -21,8 +21,8 @@ from repro.spatial import emst
 
 
 def main() -> None:
-    n = 30_000
-    points = load_dataset("Hacc37M", n=n, seed=0)
+    points = load_dataset("Hacc37M", n=30_000, seed=0)
+    n = points.shape[0]
     mst = emst(points, mpts=2)
 
     model = CostModel()

@@ -20,6 +20,7 @@ from ..parallel.machine import emit
 
 __all__ = [
     "box_gap2",
+    "pair_sq_dists",
     "sq_dist_block",
     "dist_block",
     "mutual_reachability_block",
@@ -92,4 +93,21 @@ def box_gap2(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
     out = delta[:, 0].copy()
     for c in range(1, delta.shape[1]):
         out += delta[:, c]
+    return out
+
+
+def pair_sq_dists(points: np.ndarray, i, j) -> np.ndarray:
+    """``out[...] = |points[i] - points[j]|^2`` over broadcast index arrays.
+
+    Summed in coordinate order like :func:`box_gap2`, so each entry is
+    bit-identical to the ``d2`` SciPy's ``sqeuclidean`` ``cdist`` and the
+    fused leaf kernels compute for the same pair -- unlike the square of a
+    stored distance, which is rounded twice.
+    """
+    out = np.zeros(np.broadcast_shapes(np.shape(i), np.shape(j)))
+    for c in range(points.shape[1]):
+        x = points[:, c]
+        diff = x.take(i) - x.take(j)
+        diff *= diff
+        out += diff
     return out

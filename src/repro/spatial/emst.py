@@ -16,8 +16,18 @@ Round structure:
    contains the true answer, so the tree traversal only verifies).
 2. **Aggregate** -- per tree node, bottom-up
    (:func:`~repro.parallel.primitives.spatial_node_reduce`): the single
-   component id beneath it (or -1 if mixed) and a pruning bound (max over
-   contained components' candidate distances).
+   component id beneath it (or -1 if mixed) and a pruning bound: the max
+   of the contained *useful* points' component candidate distances, 0 when
+   none is useful.  A point is useful when its *reach floor* is below its
+   component's candidate distance.  The floor is a second seed scan, named
+   ``emst.reach``, over the kNN table's exact mutual reachability: the best
+   foreign entry of the point's list, capped by ``far2``, the larger of the
+   point's squared core distance and the list's k-th exact ``d2`` (``inf``
+   when the lists hold every point).  Both tables are computed once per
+   call; exact means summed as the leaf kernel sums a ``d2``
+   (:func:`~repro.spatial.distances.pair_sq_dists`), since the stored
+   distances' squares are rounded twice.  The seed itself keeps those
+   rounded squares.
 3. **Traverse** -- level-synchronous over node pairs: lower bounds,
    same-component tests and bound pruning are single vectorized passes over
    the whole frontier, and *all* surviving leaf-leaf interactions of a level
@@ -40,8 +50,14 @@ Round structure:
 Exactness: pruning only discards pairs provably unable to improve any
 component's candidate (frozen bounds only ever over-estimate), and candidate
 resolution takes the global minimum per component, so each round adds
-exactly the Boruvka edges of the full metric graph.  Tests verify against
-dense-matrix MSTs.
+exactly the Boruvka edges of the full metric graph.  The reach floor only
+drops points that cannot emit: a foreign point in the list gives a mutual
+reachability of at least the list term, one beyond the list has ``d2`` at
+least the k-th, so at least ``far2`` -- and the leaf kernel emits only a
+strict improvement on a bound no larger than the round-start candidate
+distance.  The candidate pool, hence every edge, weight and round, is the
+one an unfloored traversal finds; only the pair visits drop.  Tests verify
+the floor against brute force and the MST against dense-matrix MSTs.
 """
 
 from __future__ import annotations
@@ -60,7 +76,7 @@ from ..parallel.primitives import (
     spatial_seed_scan,
 )
 from ..parallel.workspace import index_dtype
-from .distances import box_gap2
+from .distances import box_gap2, pair_sq_dists
 from .kdtree import KDTree, validate_points
 
 __all__ = ["EMSTResult", "KNNArtifact", "emst", "core_distances", "knn_graph"]
@@ -251,10 +267,15 @@ def emst(
         spatial_node_reduce(tree, core2_perm, "min") if mutual else None
     )
 
+    # Reach-floor tables (module docstring, Aggregate).
+    knn_r2, far2 = _reach_inputs(points, knn_i, core2, mutual)
+
     labels = np.arange(n, dtype=index_dtype(n))
     bk = get_backend()
     seed_d2 = bk.take("emst.seed_d2", n, np.float64)
     seed_q = bk.take("emst.seed_q", n, np.int64)
+    reach_d2 = bk.take("emst.reach_d2", n, np.float64)
+    reach_q = bk.take("emst.reach_q", n, np.int64)
     rows = np.arange(n, dtype=np.int64)
 
     mst_u: list[np.ndarray] = []
@@ -279,11 +300,19 @@ def emst(
             cand.add(comp, seed_d2[:n][ok], p, seed_q[:n][ok])
             np.minimum.at(best_d2, comp, seed_d2[:n][ok])
 
+        # Only a point whose reach floor is below its component's bound can
+        # ever emit; the others add nothing to the node bounds.
+        reach = _reach(labels, knn_i, knn_r2, far2, core2, reach_d2, reach_q)
+        point_bound2 = best_d2[labels]
+        point_bound2[reach >= point_bound2] = 0.0
+
         labels_perm = labels[tree.indices]
         node_lo = spatial_node_reduce(tree, labels_perm, "min")
         node_hi = spatial_node_reduce(tree, labels_perm, "max")
         node_comp = np.where(node_lo == node_hi, node_lo, -1).astype(np.int64)
-        node_bound2 = spatial_node_reduce(tree, best_d2[labels_perm], "max")
+        node_bound2 = spatial_node_reduce(
+            tree, point_bound2[tree.indices], "max"
+        )
 
         n_pair_visits += _traverse(
             tree, labels_perm, core2_perm, mutual, best_d2, cand,
@@ -322,6 +351,37 @@ def emst(
 # --------------------------------------------------------------------------
 # Round sub-steps
 # --------------------------------------------------------------------------
+
+
+def _reach_inputs(
+    points: np.ndarray, knn_i: np.ndarray, core2: np.ndarray, mutual: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The reach floor's per-call inputs: ``(knn_r2, far2)``.
+
+    ``knn_r2`` is the kNN table's mutual reachability (squared), lifted
+    once from squared distances summed as the leaf kernels sum them (the
+    stored distances' squares are rounded twice).  ``far2`` bounds the
+    mutual reachability to every point beyond a row's list -- ``inf`` when
+    the rows already list all points.
+    """
+    n = points.shape[0]
+    knn_r2 = pair_sq_dists(points, np.arange(n)[:, None], knn_i)
+    far2 = (np.maximum(knn_r2[:, -1], core2) if knn_i.shape[1] < n
+            else np.full(n, np.inf))
+    if mutual:
+        np.maximum(knn_r2, core2[:, None], out=knn_r2)
+        np.maximum(knn_r2, core2[knn_i], out=knn_r2)
+    return knn_r2, far2
+
+
+def _reach(labels, knn_i, knn_r2, far2, core2, out_d2, out_q) -> np.ndarray:
+    """Per point, a lower bound on its mutual reachability to any point of
+    another component: the best foreign kNN entry, floored by ``far2``.
+    ``knn_r2`` is already lifted, so the scan runs unlifted."""
+    spatial_seed_scan(
+        labels, knn_i, knn_r2, core2, False, out_d2, out_q, name="emst.reach"
+    )
+    return np.minimum(out_d2[: labels.size], far2)
 
 
 class _Candidates:
@@ -379,23 +439,26 @@ def _traverse(
     def prune(
         a: np.ndarray, b: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Drop same-component and bound-hopeless pairs (vectorized)."""
+        """Drop same-component and bound-hopeless pairs (vectorized).
+
+        A uniform node's bound is its component's live bound, or 0 when
+        none of its points is useful this round.
+        """
         ca = node_comp[a]
         cb = node_comp[b]
         alive = (ca < 0) | (ca != cb)
-        if alive.any():
-            lb = lower_bounds(a[alive], b[alive])
-            bound_a = np.where(
-                ca[alive] >= 0, best_d2[ca[alive]], node_bound2[a[alive]]
-            )
-            bound_b = np.where(
-                cb[alive] >= 0, best_d2[cb[alive]], node_bound2[b[alive]]
-            )
-            ok = lb < np.maximum(bound_a, bound_b)
-            sel = np.nonzero(alive)[0][ok]
-            emit("emst.pair_prune", "map", int(a.size))
-            return a[sel], b[sel], lb[ok]
-        return a[:0], b[:0], np.zeros(0)
+        if not alive.any():
+            return a[:0], b[:0], np.zeros(0)
+        n_pairs = int(a.size)
+        a, b, ca, cb = a[alive], b[alive], ca[alive], cb[alive]
+        lb = lower_bounds(a, b)
+        emit("emst.pair_prune", "map", n_pairs)
+        bound_a = node_bound2[a]
+        bound_b = node_bound2[b]
+        np.minimum(bound_a, best_d2[ca], out=bound_a, where=ca >= 0)
+        np.minimum(bound_b, best_d2[cb], out=bound_b, where=cb >= 0)
+        ok = lb < np.maximum(bound_a, bound_b)
+        return a[ok], b[ok], lb[ok]
 
     visits = 0
     fa = np.zeros(1, dtype=np.int64)

@@ -19,16 +19,22 @@ def run_example(name: str, capsys) -> str:
 
 
 def shrink(monkeypatch, name: str, n_max: int) -> list[int]:
-    """Cap the point count of the ``repro.data`` generator ``name`` (the
-    name the examples import) and return the list of sizes it ran with."""
+    """Cap the point count ``n`` of the ``repro.data`` function ``name``
+    (the name the examples import) and return the list of sizes it ran
+    with."""
+    import inspect
+
     import repro.data as data
 
     original = getattr(data, name)
+    signature = inspect.signature(original)
     sizes: list[int] = []
 
-    def capped(n, **kw):
-        sizes.append(min(n, n_max))
-        return original(sizes[-1], **kw)
+    def capped(*args, **kw):
+        bound = signature.bind(*args, **kw)
+        bound.arguments["n"] = min(bound.arguments["n"], n_max)
+        sizes.append(bound.arguments["n"])
+        return original(*bound.args, **bound.kwargs)
 
     monkeypatch.setattr(data, name, capped)
     return sizes
@@ -45,10 +51,12 @@ class TestExamples:
         out = run_example("image_segmentation.py", capsys)
         assert "segments" in out
 
-    def test_device_model(self, capsys):
+    def test_device_model(self, capsys, monkeypatch):
+        sizes = shrink(monkeypatch, "load_dataset", 5000)
         out = run_example("device_model.py", capsys)
         assert "MI250X" in out
         assert "extrapolated" in out
+        assert sizes == [5000]
 
     def test_cosmology_fof(self, capsys, monkeypatch):
         # The example imports ``hacc_like`` from ``repro.data``: patch that

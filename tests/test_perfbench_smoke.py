@@ -51,3 +51,14 @@ def test_rejects_a_zeroed_knn_layer():
     assert smoke.check("hdbscan", 1, bad, SPEC) == ["knn.query_ms is not > 0"]
     # Other workloads never run kNN: a zero there is expected.
     assert smoke.check("dendrogram", 1, bad, SPEC) == []
+
+
+def test_rejects_zeroed_emst_layers():
+    """The trace also rebinds the EMST traversal and its leaf-pair kernel
+    by name: a zero there means a rename broke the trace."""
+    smoke = _load()
+    for layer in ("emst.leaf_pairs_ms", "emst.traverse_ms"):
+        bad = _result(1)
+        bad["metrics"][layer]["value"] = 0.0
+        assert smoke.check("hdbscan", 1, bad, SPEC) == [f"{layer} is not > 0"]
+        assert smoke.check("serve", 1, bad, SPEC) == []

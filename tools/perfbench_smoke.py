@@ -6,9 +6,10 @@ last output line, the JSON result:
 
 * ``correct`` is true and ``failed`` is 0;
 * every metric the spec names is present;
-* the traced ``hdbscan`` run reports ``knn.query_ms > 0`` -- the layer
+* the traced ``hdbscan`` run reports ``knn.query_ms``,
+  ``emst.leaf_pairs_ms`` and ``emst.traverse_ms`` above zero -- the layer
   trace rebinds library functions by name, so a rename would otherwise
-  zero that layer silently.
+  zero a layer silently.
 
 Usage (from the repository root)::
 
@@ -28,7 +29,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 #: Traced layers that must read above zero, per workload.
-NONZERO_LAYERS = {"hdbscan": ("knn.query_ms",)}
+NONZERO_LAYERS = {
+    "hdbscan": ("knn.query_ms", "emst.leaf_pairs_ms", "emst.traverse_ms"),
+}
 
 
 def check(workload: str, trace: int, result: dict, spec: dict) -> list[str]:
