@@ -9,8 +9,9 @@ Five pieces (see the sibling modules for the full contracts):
 * :mod:`repro.engine.cache` -- the content-keyed, thread-safe
   :class:`ArtifactCache`.
 * :mod:`repro.engine.engine` -- the :class:`Engine` facade: cached fits,
-  batched multi-``mpts`` HDBSCAN*, multi-cut dendrogram queries, and a
-  context-snapshotting thread-pool serving path.
+  batched multi-``mpts`` HDBSCAN*, multi-cut dendrogram queries, and one
+  serving loop over a context-snapshotting thread pool or the process
+  shard pool.
 * :mod:`repro.engine.faults` -- deterministic fault injection and
   cooperative deadlines at named execution seams (importing it arms the
   hooks; never importing it keeps the seams at one ``None`` check).

@@ -16,8 +16,13 @@ pipeline:
   so results match the naive per-``mpts`` loop) and caches every kNN and
   EMST artifact for later queries (dendrograms are cached on the
   :meth:`Engine.fit` path; the HDBSCAN extraction stages always run);
-* :meth:`Engine.map` / :meth:`Engine.fit_many` -- a thread-pool serving
-  path.  Each job runs in a **snapshot of the submitting context**
+* :meth:`Engine.map` / :meth:`Engine.fit_many` /
+  :meth:`Engine.hdbscan_many` -- one serving loop
+  (:meth:`Engine._serve`) over two executor adapters: a thread pool, or
+  the supervised process-shard pool.  The loop keeps submission order and
+  owns raise-first cancellation (no policy), the batch deadline and the
+  result list; the adapters submit, wait and cancel.  On the thread
+  executor each job runs in a **snapshot of the submitting context**
   (``contextvars.copy_context``), so backend selection, hot-path flags and
   the debug-checks setting propagate to workers, while anything a job sets
   stays local to that job.  Inherited cost-model tracking is suspended per
@@ -43,7 +48,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -161,6 +166,176 @@ def _fit_problem(problem: Sequence[Any]) -> tuple:
         return u, v, w, None
     u, v, w, nv = problem
     return u, v, w, nv
+
+
+def _stitch_process_span(
+    trace: tuple[str, str] | None, job: Any, backend_name: str
+) -> None:
+    """Assemble and record one process-executor request span tree.
+
+    The parent side owns the request root (ids minted at submit
+    time): a synthesized ``queue`` child carries the accumulated
+    queue wait, the worker's shipped subtree (if any) slots under the
+    root via the envelope ids, and dispatch retries / worker kills
+    become span events.  Also lands the end-to-end latency in
+    ``repro_request_seconds{executor="process"}``.
+    """
+    if trace is None or not _obs_enabled():
+        return
+    status = job.status or "?"
+    trace_id, span_id = trace
+    root = _ObsSpan(
+        "request", trace_id=trace_id, span_id=span_id,
+        labels={
+            "executor": "process", "backend": backend_name,
+            "kind": job.kind, "status": status,
+            "attempts": job.attempts, "retries": job.retries,
+        },
+        start_unix=job.created_unix, duration_s=job.latency_s,
+    )
+    root.status = status
+    queue = _ObsSpan(
+        "queue", start_unix=job.created_unix,
+        duration_s=job.queue_wait_s,
+    )
+    root.add_child(queue)
+    if job.remote_span is not None:
+        try:
+            root.add_child(_ObsSpan.from_dict(job.remote_span))
+        except Exception:
+            pass  # malformed remote span must never fail a result
+    if job.retries:
+        root.event("shard_retries", count=job.retries)
+    if job.kills:
+        root.event("worker_kills", count=job.kills)
+    if job.worker is not None:
+        root.annotate(worker=job.worker)
+    _M_REQUEST.observe(job.latency_s, executor="process", status=status)
+    _record_tree(root)
+
+
+def _shielded(fn: Callable[..., Any], item: Any) -> Any:
+    with untracked():
+        return fn(item)
+
+
+class _ThreadLane:
+    """Thread executor adapter for :meth:`Engine._serve`.
+
+    Each job runs in a ``copy_context`` snapshot of the submitting context
+    with inherited cost-model tracking suspended (``_shielded``), and
+    under :func:`~repro.engine.resilience.run_job` when a policy is set.
+    :meth:`body` is also the degraded path of lost process jobs.
+    """
+
+    def __init__(self, engine: "Engine", fn: Callable[..., Any],
+                 policy: ServePolicy | None, backend_name: str,
+                 batch_deadline: float | None, workers: int) -> None:
+        self.engine, self.fn, self.policy = engine, fn, policy
+        self.backend_name, self.batch_deadline = backend_name, batch_deadline
+        self.workers = workers
+
+    @contextmanager
+    def open(self) -> Iterator[None]:
+        with _label_scope(executor="thread", backend=self.backend_name), \
+                ThreadPoolExecutor(max_workers=self.workers) as self.pool:
+            yield
+
+    def body(self, index: int, item: Any,
+             submitted_at: float | None = None) -> JobResult:
+        if self.policy is None:
+            return JobResult(index=index, status="ok",
+                             value=_shielded(self.fn, item))
+        return run_job(
+            functools.partial(_shielded, self.fn, item), index, self.policy,
+            self.engine.breakers, self.engine._health, self.backend_name,
+            self.batch_deadline, submitted_at,
+        )
+
+    def submit(self, index: int, item: Any, job: tuple[str, Any]) -> Any:
+        return self.pool.submit(contextvars.copy_context().run, self.body,
+                                index, item, time.perf_counter())
+
+    def result(self, future: Any, timeout: float | None = None) -> JobResult:
+        return future.result(timeout)
+
+    def cancel(self, future: Any) -> bool:
+        return future.cancel()
+
+
+class _ProcessLane:
+    """Process executor adapter for :meth:`Engine._serve` over a healthy
+    :class:`~repro.engine.procpool.ShardPool`.
+
+    Folds the deadlines into each job at submit, mints the request's trace
+    ids, records health under a policy, stitches the request span, and
+    re-runs ``lost`` jobs through the thread body.  A ticket is
+    ``(index, item, trace, ShardJob)``, or the exception that shed or
+    quarantined the job at the front door in place of the ``ShardJob``.
+    """
+
+    def __init__(self, thread: _ThreadLane, pool: ShardPool) -> None:
+        self.thread, self.pool = thread, pool
+        self.policy, self.backend_name = thread.policy, thread.backend_name
+
+    def open(self) -> Any:
+        return nullcontext()
+
+    def submit(self, index: int, item: Any, job: tuple[str, Any]) -> tuple:
+        policy, batch_deadline = self.policy, self.thread.batch_deadline
+        deadline_s = None if policy is None else policy.job_deadline_s
+        if batch_deadline is not None:
+            remaining = max(0.001, batch_deadline - time.perf_counter())
+            deadline_s = (
+                remaining if deadline_s is None else min(deadline_s, remaining)
+            )
+        # The request's trace/span ids ride the job envelope, so the
+        # worker-side span subtree comes back stitchable under this
+        # request (see ``repro.obs``).
+        trace = (_new_id(), _new_id()) if _obs_enabled() else None
+        try:
+            ticket = self.pool.submit(
+                *job, deadline_s=deadline_s, trace=trace,
+                retry_budget=0 if policy is None else policy.max_retries,
+            )
+        except (RejectedError, PoisonedJobError) as exc:
+            ticket = exc
+        return index, item, trace, ticket
+
+    def result(self, ticket: tuple, timeout: float | None = None) -> JobResult:
+        index, item, trace, job = ticket
+        backend = self.backend_name
+        if isinstance(job, BaseException):
+            outcome = JobResult(index=index, status="failed", error=job,
+                                error_kind="permanent", backend=backend)
+        else:
+            job = self.pool.result(job, timeout)
+            if job.status == "lost":
+                # The degraded re-run records its own thread-path request
+                # span and health; no process-side span is stitched.
+                self.thread.engine._pool_degraded += 1
+                with _label_scope(executor="thread", backend=backend):
+                    return contextvars.copy_context().run(
+                        self.thread.body, index, item
+                    )
+            _stitch_process_span(trace, job, backend)
+            outcome = JobResult(
+                index=index, status=job.status, value=job.value,
+                error=job.error, error_kind=job.error_kind,
+                attempts=job.attempts, retries=job.retries,
+                latency_s=job.latency_s,
+                backend=None if job.status == "cancelled" else backend,
+            )
+        if self.policy is not None:
+            health = self.thread.engine._health
+            health.record(backend, outcome.status)
+            if outcome.retries:
+                health.record(backend, "retries", outcome.retries)
+        return outcome
+
+    def cancel(self, ticket: tuple) -> bool:
+        job = ticket[3]
+        return not isinstance(job, BaseException) and self.pool.cancel(job)
 
 
 class Engine:
@@ -515,11 +690,18 @@ class Engine:
         policy: ServePolicy | None,
         executor: str | None,
     ) -> list[Any]:
-        """Route one serving batch to the configured executor.
+        """The serving loop: one batch, results in submission order.
 
         ``jobs`` holds picklable ``(kind, payload)`` descriptors for the
-        process path; ``local_fn(item)`` is the equivalent in-process
-        body, used by the thread path and by per-job degradation.
+        process executor; ``local_fn(item)`` is the equivalent in-process
+        body, used by the thread executor and by per-job degradation.
+        The loop owns what both executors share: raise-first cancellation
+        (``policy=None``: unwrap each outcome, and on the first failure
+        cancel every job not yet running and re-raise), the batch deadline
+        with the envelopes of the jobs it cancels, and the result list.
+        The executor adapters (``_ThreadLane`` / ``_ProcessLane``) own
+        only what differs: ``submit -> ticket``, ``result(ticket) ->
+        JobResult`` and ``cancel(ticket)``.
         """
         if executor is None:
             executor = self._executor
@@ -529,94 +711,65 @@ class Engine:
             )
         if not items:
             return []
+        with self._scope() as backend:
+            backend_name = backend.name
+            workers = (self.default_workers(backend) if max_workers is None
+                       else max_workers)
+        batch_deadline = None
+        if policy is not None and policy.batch_deadline_s is not None:
+            batch_deadline = time.perf_counter() + policy.batch_deadline_s
+        lane: _ThreadLane | _ProcessLane = _ThreadLane(
+            self, local_fn, policy, backend_name, batch_deadline, workers
+        )
         if executor == "process":
             pool = self._ensure_pool()
             if pool is not None and pool.healthy:
-                return self._map_process(pool, jobs, items, local_fn, policy)
-            # Pool unavailable or unhealthy: the whole batch degrades to
-            # the in-process thread path (bit-identical by contract).
-            self._pool_degraded += len(items)
-        return self._map_thread(local_fn, items, max_workers, policy)
+                lane = _ProcessLane(lane, pool)
+            else:
+                # Pool unavailable or unhealthy: the whole batch degrades to
+                # the in-process thread path (bit-identical by contract).
+                self._pool_degraded += len(items)
 
-    def _map_thread(
-        self,
-        fn: Callable[..., Any],
-        items: list[Any],
-        max_workers: int | None,
-        policy: ServePolicy | None,
-    ) -> list[Any]:
-        with self._scope() as backend:
-            if max_workers is None:
-                max_workers = self.default_workers(backend)
-            backend_name = backend.name
-        if policy is None:
-            with _label_scope(executor="thread", backend=backend_name), \
-                    ThreadPoolExecutor(max_workers=max_workers) as pool:
-                futures = [
-                    pool.submit(
-                        contextvars.copy_context().run, self._shielded, fn, item
-                    )
-                    for item in items
-                ]
-                try:
-                    return [f.result() for f in futures]
-                except BaseException:
-                    for f in futures:
-                        f.cancel()
-                    raise
-
-        batch_deadline = (
-            None if policy.batch_deadline_s is None
-            else time.perf_counter() + policy.batch_deadline_s
-        )
-        with _label_scope(executor="thread", backend=backend_name), \
-                ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [
-                pool.submit(
-                    contextvars.copy_context().run,
-                    run_job,
-                    functools.partial(self._shielded, fn, item),
-                    i,
-                    policy,
-                    self.breakers,
-                    self._health,
-                    backend_name,
-                    batch_deadline,
-                    time.perf_counter(),
-                )
-                for i, item in enumerate(items)
-            ]
-            results: list[JobResult] = []
-            expired = False
-            for i, f in enumerate(futures):
-                if batch_deadline is not None and not expired:
-                    remaining = batch_deadline - time.perf_counter()
-                    try:
-                        results.append(f.result(timeout=max(0.0, remaining)))
+        with lane.open():
+            tickets = [lane.submit(i, item, job)
+                       for i, (item, job) in enumerate(zip(items, jobs))]
+            results: list[Any] = []
+            swept: set[int] = set()
+            expired = batch_deadline is None
+            try:
+                for i, ticket in enumerate(tickets):
+                    outcome = None
+                    if not expired:
+                        remaining = max(0.0, batch_deadline - time.perf_counter())
+                        try:
+                            outcome = lane.result(ticket, remaining)
+                        except (TimeoutError, FuturesTimeout):
+                            # Batch deadline: sweep-cancel everything not yet
+                            # running, back to front (both executors consume
+                            # in submission order, so the tail is least
+                            # started).  Running jobs time out cooperatively.
+                            expired = True
+                            swept = {j for j in range(len(tickets) - 1, i - 1, -1)
+                                     if lane.cancel(tickets[j])}
+                    if i in swept:
+                        self._health.record(backend_name, "cancelled")
+                        results.append(JobResult(
+                            index=i, status="cancelled",
+                            error_kind="timeout", backend=None,
+                        ))
                         continue
-                    except FuturesTimeout:
-                        # Batch deadline: sweep-cancel everything not yet
-                        # running, back to front (the pool consumes in
-                        # submission order, so the tail is least started).
-                        expired = True
-                        for g in reversed(futures[i:]):
-                            g.cancel()
-                if f.cancelled():
-                    self._health.record(backend_name, "cancelled")
-                    results.append(JobResult(
-                        index=i, status="cancelled",
-                        error_kind="timeout", backend=None,
-                    ))
-                else:
-                    # Already running: it times out cooperatively via the
-                    # in-job deadline, so this wait is short.
-                    results.append(f.result())
+                    if outcome is None:
+                        outcome = lane.result(ticket)
+                    results.append(
+                        outcome if policy is not None else outcome.unwrap()
+                    )
+            except BaseException:
+                # Raise-first: the first failure in submission order cancels
+                # every job not yet running, then propagates.
+                for ticket in tickets:
+                    lane.cancel(ticket)
+                raise
             return results
-
-    @staticmethod
-    def _shielded(fn: Callable[..., Any], item: Any) -> Any:
-        with untracked():
-            return fn(item)
 
     # -- process executor --------------------------------------------------
     def _ensure_pool(self) -> ShardPool | None:
@@ -633,175 +786,6 @@ class Engine:
                     return None
             return self._pool
 
-    def _degrade_job(
-        self,
-        local_fn: Callable[..., Any],
-        item: Any,
-        index: int,
-        policy: ServePolicy | None,
-        backend_name: str,
-        batch_deadline: float | None,
-    ) -> Any:
-        """Run one lost job on the thread path (pool died under it)."""
-        self._pool_degraded += 1
-        with _label_scope(executor="thread", backend=backend_name):
-            if policy is None:
-                return contextvars.copy_context().run(
-                    self._shielded, local_fn, item
-                )
-            return contextvars.copy_context().run(
-                run_job,
-                functools.partial(self._shielded, local_fn, item),
-                index, policy, self.breakers, self._health,
-                backend_name, batch_deadline,
-            )
-
-    def _map_process(
-        self,
-        pool: ShardPool,
-        jobs: list[tuple[str, Any]],
-        items: list[Any],
-        local_fn: Callable[..., Any],
-        policy: ServePolicy | None,
-    ) -> list[Any]:
-        """Serve one batch on the shard pool (see :meth:`map`).
-
-        Submission-order semantics match the thread path: without a
-        policy the first failure raises after cancelling every
-        not-yet-dispatched ticket; with a policy every item yields a
-        :class:`~repro.engine.resilience.JobResult` and lands in
-        :meth:`health` exactly once.
-        """
-        with self._scope() as backend:
-            backend_name = backend.name
-        batch_deadline = None
-        if policy is not None and policy.batch_deadline_s is not None:
-            batch_deadline = time.perf_counter() + policy.batch_deadline_s
-        retry_budget = 0 if policy is None else policy.max_retries
-
-        tickets: list[Any] = []
-        traces: list[tuple[str, str] | None] = []
-        for kind, payload in jobs:
-            deadline_s = None if policy is None else policy.job_deadline_s
-            if batch_deadline is not None:
-                remaining = max(0.001, batch_deadline - time.perf_counter())
-                deadline_s = (
-                    remaining if deadline_s is None
-                    else min(deadline_s, remaining)
-                )
-            # The request's trace/span ids are minted at submit time and
-            # ride the job envelope, so the worker-side span subtree comes
-            # back stitchable under this request (see ``repro.obs``).
-            trace = (_new_id(), _new_id()) if _obs_enabled() else None
-            traces.append(trace)
-            try:
-                tickets.append(pool.submit(
-                    kind, payload,
-                    deadline_s=deadline_s, retry_budget=retry_budget,
-                    trace=trace,
-                ))
-            except (RejectedError, PoisonedJobError) as exc:
-                tickets.append(exc)
-
-        results: list[Any] = []
-        raised: BaseException | None = None
-        for i, ticket in enumerate(tickets):
-            if isinstance(ticket, BaseException):
-                # Shed or quarantined at the front door.
-                if policy is None:
-                    raised = raised or ticket
-                    results.append(None)
-                else:
-                    self._health.record(backend_name, "failed")
-                    results.append(JobResult(
-                        index=i, status="failed", error=ticket,
-                        error_kind="permanent", backend=backend_name,
-                    ))
-                continue
-            if raised is not None:
-                # Raise-first semantics: stop consuming, cancel the rest.
-                pool.cancel(ticket)
-                continue
-            job = pool.result(ticket)
-            if job.status == "lost":
-                # The degraded re-run records its own thread-path request
-                # span; no process-side span is stitched for lost jobs.
-                results.append(self._degrade_job(
-                    local_fn, items[i], i, policy, backend_name,
-                    batch_deadline,
-                ))
-                continue
-            self._stitch_process_span(traces[i], job, backend_name)
-            if policy is None:
-                if job.status == "ok":
-                    results.append(job.value)
-                else:
-                    error = job.error or TimeoutError(
-                        f"job {i} was {job.status}"
-                    )
-                    raised = error
-                    results.append(None)
-                continue
-            self._health.record(backend_name, job.status)
-            if job.retries:
-                self._health.record(backend_name, "retries", job.retries)
-            results.append(JobResult(
-                index=i, status=job.status, value=job.value,
-                error=job.error, error_kind=job.error_kind,
-                attempts=job.attempts, retries=job.retries,
-                latency_s=job.latency_s,
-                backend=None if job.status == "cancelled" else backend_name,
-            ))
-        if raised is not None:
-            raise raised
-        return results
-
-    @staticmethod
-    def _stitch_process_span(
-        trace: tuple[str, str] | None, job: Any, backend_name: str
-    ) -> None:
-        """Assemble and record one process-executor request span tree.
-
-        The parent side owns the request root (ids minted at submit
-        time): a synthesized ``queue`` child carries the accumulated
-        queue wait, the worker's shipped subtree (if any) slots under the
-        root via the envelope ids, and dispatch retries / worker kills
-        become span events.  Also lands the end-to-end latency in
-        ``repro_request_seconds{executor="process"}``.
-        """
-        if trace is None or not _obs_enabled():
-            return
-        status = job.status or "?"
-        trace_id, span_id = trace
-        root = _ObsSpan(
-            "request", trace_id=trace_id, span_id=span_id,
-            labels={
-                "executor": "process", "backend": backend_name,
-                "kind": job.kind, "status": status,
-                "attempts": job.attempts, "retries": job.retries,
-            },
-            start_unix=job.created_unix, duration_s=job.latency_s,
-        )
-        root.status = status if status != "ok" else "ok"
-        queue = _ObsSpan(
-            "queue", start_unix=job.created_unix,
-            duration_s=job.queue_wait_s,
-        )
-        root.add_child(queue)
-        if job.remote_span is not None:
-            try:
-                root.add_child(_ObsSpan.from_dict(job.remote_span))
-            except Exception:
-                pass  # malformed remote span must never fail a result
-        if job.retries:
-            root.event("shard_retries", count=job.retries)
-        if job.kills:
-            root.event("worker_kills", count=job.kills)
-        if job.worker is not None:
-            root.annotate(worker=job.worker)
-        _M_REQUEST.observe(job.latency_s, executor="process", status=status)
-        _record_tree(root)
-
     def drain(self, timeout: float | None = None) -> bool:
         """Gracefully drain the process pool (if one was ever created):
         finish in-flight jobs, reject new submissions, join every worker.
@@ -809,9 +793,7 @@ class Engine:
         pool)."""
         with self._pool_lock:
             pool = self._pool
-        if pool is None:
-            return True
-        return pool.drain(timeout)
+        return pool is None or pool.drain(timeout)
 
     def shutdown(self) -> None:
         """Tear down the process pool (if any); thread-path serving keeps
@@ -906,10 +888,8 @@ class Engine:
         with self._pool_lock:
             pool = self._pool
         stats = pool.stats() if pool is not None else None
-        snap["queue_depth"] = stats["queue_depth"] if stats else 0
-        snap["workers_alive"] = stats["workers_alive"] if stats else 0
-        snap["respawns"] = stats["respawns"] if stats else 0
-        snap["shed"] = stats["shed"] if stats else 0
+        for key in ("queue_depth", "workers_alive", "respawns", "shed"):
+            snap[key] = stats[key] if stats else 0
         snap["degraded"] = self._pool_degraded
         snap["pool"] = stats
         return snap

@@ -35,9 +35,10 @@ multiplexes that queue with a periodic scan:
   rejecting new submissions, then joins every worker.
 
 When the respawn budget is exhausted and the last worker dies, the pool
-marks itself unhealthy and fails outstanding jobs as *lost* (transient);
-the :class:`~repro.engine.engine.Engine` reacts by degrading those jobs
--- and subsequent batches -- to the in-process thread path, which is
+marks itself unhealthy and fails outstanding jobs -- and any job
+submitted afterwards -- as *lost* (transient); the
+:class:`~repro.engine.engine.Engine` reacts by degrading those jobs -- and
+subsequent batches -- to the in-process thread path, which is
 legal because backends and processes are bit-identical on every input
 (the cross-backend contract).
 
@@ -417,7 +418,8 @@ class ShardPool:
         subtree stitches under the caller's request span (see
         ``repro.obs``).  Raises :class:`RejectedError` when the pool is
         closing, draining, or at ``max_pending``; :class:`PoisonedJobError`
-        when the job's content fingerprint is quarantined.
+        when the job's content fingerprint is quarantined.  On an
+        unhealthy pool the returned ticket is already finished ``lost``.
         """
         if kind not in JOB_KINDS:
             raise ValueError(f"unknown job kind {kind!r}")
@@ -450,10 +452,17 @@ class ShardPool:
                 retry_budget, now, trace,
             )
             self._next_job_id += 1
-            self._jobs[job.id] = job
-            self._pending.append(job)
             self._submitted += 1
             _M_POOL_EVENTS.inc(event="submitted")
+            if self._unhealthy:
+                # No worker will ever run it: finish it lost right away,
+                # like the jobs outstanding when the pool died.
+                self._finish(job, "lost", error=WorkerCrashError(
+                    "shard pool is unhealthy (respawn budget exhausted)",
+                ), error_kind="transient")
+                return job
+            self._jobs[job.id] = job
+            self._pending.append(job)
         self._kick()
         return job
 

@@ -225,6 +225,13 @@ def worker_main(worker_id: int, job_q, result_q, config: WorkerConfig) -> None:
                 action = faults.decide(worker_id, draw)
                 draw += 1
                 if job_id in faults.poison_job_ids or action == "crash":
+                    # Flush the result queue first: dying while its feeder
+                    # thread holds the queue's cross-process write lock
+                    # would block every other worker's sends for good.
+                    stop_heartbeat.set()
+                    heartbeat.join()
+                    result_q.close()
+                    result_q.join_thread()
                     os._exit(CRASH_EXITCODE)
                 if action == "hang":
                     stop_heartbeat.set()

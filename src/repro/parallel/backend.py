@@ -3,8 +3,10 @@
 The PANDORA paper dispatches one fixed vocabulary of data-parallel kernels
 (maps, reductions, scans, sorts, gathers, scatters, pointer jumps) through
 Kokkos to interchangeable CPU/GPU execution spaces.  This module is the
-reproduction's version of that seam: a :class:`Backend` declares the
-vocabulary, concrete backends realize it, and everything above --
+reproduction's version of that seam: one class, :class:`NumpyBackend`
+(also named :class:`Backend`), declares the vocabulary and is its
+reference realization; the other backends subclass it and override the
+kernels they realize differently.  Everything above --
 :mod:`repro.parallel.primitives`, the connected-components kernels, and the
 :mod:`repro.core` hot paths -- calls whichever backend is active.
 
@@ -107,18 +109,29 @@ class BackendUnavailable(RuntimeError):
     """A registered backend cannot run in this environment."""
 
 
-class Backend:
-    """Interface of the data-parallel execution substrate.
+#: Monotone float64 -> u64 key masks (shared by the spatial key encode).
+_F64_SIGN = np.uint64(0x8000000000000000)
+_F64_FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
+_F64_NOSIGN = np.uint64(0x7FFFFFFFFFFFFFFF)
+_F64_EXP = np.uint64(0x7FF0000000000000)
 
-    Subclasses realize the primitive vocabulary; callers obtain the active
-    instance with :func:`get_backend`.  Every method that performs kernel
-    work takes a ``name`` argument: the emitted
+
+class NumpyBackend:
+    """The data-parallel execution substrate and its reference realization.
+
+    Every kernel is a bulk vectorized NumPy operation, a pure extraction
+    of the pre-backend code paths: outputs and kernel traces are
+    bit-identical to them by construction.  Other backends subclass this
+    class and override what they realize differently (the numba backends
+    fuse the scatter/jump-heavy loops); callers obtain the active instance
+    with :func:`get_backend`.  Every method that performs kernel work
+    takes a ``name`` argument: the emitted
     :class:`~repro.parallel.machine.KernelRecord` name, or ``None`` to
     suppress emission when the caller accounts a fused kernel itself.
     """
 
     #: Registry name; informational on unregistered instances.
-    name: str = "abstract"
+    name: str = "numpy"
 
     #: Capability flag (the serving-parallelism contract): ``True`` when
     #: this backend's kernels release the GIL (or run on a device stream),
@@ -167,300 +180,6 @@ class Backend:
     # -- array constructors (no kernel accounting) -------------------------
     # A future device backend returns device arrays from these; hot-path
     # code must not call np.empty/np.full/np.arange directly.
-    def asarray(self, a, dtype=None) -> np.ndarray:
-        raise NotImplementedError
-
-    def empty(self, n: int, dtype) -> np.ndarray:
-        raise NotImplementedError
-
-    def zeros(self, n: int, dtype) -> np.ndarray:
-        raise NotImplementedError
-
-    def full(self, n: int, fill, dtype) -> np.ndarray:
-        raise NotImplementedError
-
-    def arange(self, n: int, dtype) -> np.ndarray:
-        raise NotImplementedError
-
-    # -- primitive vocabulary ----------------------------------------------
-    def map(self, fn, *arrays: np.ndarray, name: str | None = "map") -> np.ndarray:
-        raise NotImplementedError
-
-    def reduce_sum(self, a, name: str | None = "reduce_sum"):
-        raise NotImplementedError
-
-    def reduce_max(self, a, name: str | None = "reduce_max"):
-        raise NotImplementedError
-
-    def reduce_min(self, a, name: str | None = "reduce_min"):
-        raise NotImplementedError
-
-    def inclusive_scan(self, a, name: str | None = "scan") -> np.ndarray:
-        raise NotImplementedError
-
-    def exclusive_scan(self, a, name: str | None = "scan", dtype=None) -> np.ndarray:
-        raise NotImplementedError
-
-    def sort(self, a, name: str | None = "sort") -> np.ndarray:
-        raise NotImplementedError
-
-    def argsort(self, a, name: str | None = "argsort") -> np.ndarray:
-        raise NotImplementedError
-
-    def lexsort(self, keys, name: str | None = "lexsort") -> np.ndarray:
-        raise NotImplementedError
-
-    def sort_by_key(self, keys, values, name: str | None = "sort_by_key"):
-        raise NotImplementedError
-
-    def canonical_sort_order(
-        self, weights, ids, name: str | None = "edges.sort_desc"
-    ) -> np.ndarray:
-        """Permutation sorting by (weight descending, position ascending).
-
-        ``ids`` must be the identity permutation in the caller's index
-        dtype; it participates only as the tie-breaker, which lets a
-        backend replace the two-key lexsort with a narrowed single-key
-        sort (same record emitted either way).  NaN weights are rejected
-        by ``as_edge_arrays`` only while debug checks are on; a backend
-        realization must therefore follow the sortlib special-value
-        policy (every NaN keys last, after ``-inf``, mutually tied) so
-        orders stay bit-identical across backends either way.
-        """
-        raise NotImplementedError
-
-    def argsort_bounded(
-        self, keys, min_key: int, max_key: int,
-        name: str | None = "argsort",
-    ) -> np.ndarray:
-        """Stable ascending argsort of integer keys provably in
-        ``[min_key, max_key]``.
-
-        Bit-identical to ``np.argsort(keys, kind="stable")``; the bound is
-        a *narrowing hint* that lets a backend run a counting/radix sort in
-        O(n + k) instead of a comparison sort (the chain-stitch sort's keys
-        are bounded by ``2 * n_edges + 1``).  One ``sort`` record of
-        ``keys.size`` either way.
-        """
-        raise NotImplementedError
-
-    def gather(self, a, idx, name: str | None = "gather") -> np.ndarray:
-        raise NotImplementedError
-
-    def gather_into(
-        self, a, idx, out, mode: str = "raise", name: str | None = "gather"
-    ) -> np.ndarray:
-        """``out[i] = a[idx[i]]`` into a preallocated buffer."""
-        raise NotImplementedError
-
-    def scatter(self, target, idx, values, name: str | None = "scatter"):
-        raise NotImplementedError
-
-    def scatter_max_ordered(
-        self, target, idx, values, name: str | None = "scatter_max",
-        assume_ordered: bool = True,
-    ):
-        raise NotImplementedError
-
-    def scatter_max_pairs(self, out, u, v, idx, name: str | None = "scatter_max"):
-        """maxIncident kernel: ``out[u[i]] = out[v[i]] = idx[i]`` in order.
-
-        ``idx`` ascending makes last-write-wins an atomic-max over both
-        endpoint columns (paper Eq. 1 in one scatter).
-        """
-        raise NotImplementedError
-
-    def scatter_min_at(self, target, idx, values, name: str | None = "scatter_min"):
-        raise NotImplementedError
-
-    def masked_fill(self, dst, mask, src, name: str | None = None) -> np.ndarray:
-        """``dst[i] = src[i] (or scalar src) where mask[i]``, in place."""
-        raise NotImplementedError
-
-    def where(self, cond, a, b, name: str | None = None) -> np.ndarray:
-        raise NotImplementedError
-
-    def compact(self, a, mask, name: str | None = "compact") -> np.ndarray:
-        raise NotImplementedError
-
-    def compress_into(self, mask, a, out, name: str | None = None) -> np.ndarray:
-        """Stream-compact ``a[mask]`` into a preallocated buffer."""
-        raise NotImplementedError
-
-    def segmented_first(self, sorted_keys, name: str | None = "segmented_first"):
-        raise NotImplementedError
-
-    def unique_labels(self, labels, name: str | None = "relabel"):
-        raise NotImplementedError
-
-    # -- fused hot-path kernels --------------------------------------------
-    def resolve_pointer_forest(self, pointer, name: str = "cc.jump") -> np.ndarray:
-        """Pointer-double a rooted pointer forest to per-element root labels.
-
-        One ``jump`` record per doubling round (including the terminal
-        no-change round), work ``pointer.size`` each.  The result may be
-        ``pointer`` itself or a workspace buffer: scratch lifetime rules
-        apply.
-        """
-        raise NotImplementedError
-
-    def expand_pool_partition(
-        self, pool_idx, pool_vert, keep, vmap,
-        level_idx, level_u, non_alpha, n_contracted,
-        nxt_idx, nxt_vert, name: str | None = "expand.pool_relabel",
-    ) -> int:
-        """One level of ``assign_chains`` pool maintenance; returns new length.
-
-        Writes the surviving pool entries (``keep`` mask; ``None`` keeps
-        all) followed by the level's contracted (non-alpha) edges into
-        ``nxt_idx``/``nxt_vert``, relabeling every supervertex through
-        ``vmap``.  Order is deterministic: survivors in pool order, then
-        contracted edges in level order.  Emits one ``gather`` record of
-        the new pool length.
-        """
-        raise NotImplementedError
-
-    def chain_sort_keys(self, anchor, side, out, name: str | None = None):
-        """Chain-sort key build: ``out[i] = 2*anchor[i] + side[i]``, or
-        ``-1`` where ``anchor`` is negative (the root chain).  ``out`` may
-        be narrower than ``anchor``; the cast is unchecked (callers size
-        the key dtype so every valid key fits)."""
-        raise NotImplementedError
-
-    # -- spatial kernel vocabulary (kd-tree / kNN / dual-tree Boruvka) -----
-    # The spatial front-end (``repro.spatial``) routes its hot kernels
-    # through these methods.  ``tree`` arguments are duck-typed flat-array
-    # kd-trees (``repro.spatial.kdtree.KDTree``): this module never imports
-    # the spatial package at import time, the reference realizations load
-    # ``repro.spatial.kernels`` lazily.  The cross-backend contract is the
-    # usual one -- bit-identical arrays, identical emitted records -- and
-    # every realization must be deterministic (no visit-order-dependent
-    # float math escapes a kernel; candidate ties break on point id).
-
-    def encode_floats_ascending(self, values, name: str | None = None):
-        """Order-preserving monotone float64 -> u64 keys, *ascending*.
-
-        The radix-sort float transform (flip negatives, set the sign bit of
-        non-negatives) with the sortlib special-value policy: ``-0.0`` keys
-        equal to ``+0.0`` and every NaN maps to the all-ones key (sorts
-        last).  Returns workspace scratch (slot ``spatial.fkey``).
-        """
-        raise NotImplementedError
-
-    def _argsort_u64(self, keys) -> np.ndarray:
-        """Stable ascending argsort of u64 keys (internal hook, no record).
-
-        Strategy follows the active ``radix_sort`` hot-path flag exactly as
-        the sort vocabulary does; any stable realization yields the same
-        permutation, which is what keeps :meth:`spatial_partition`
-        bit-identical across backends.
-        """
-        if not hotpath_config().radix_sort:
-            return np.argsort(keys, kind="stable")
-        return sortlib.stable_argsort_unsigned(keys, workspace=self.workspace)
-
-    def spatial_partition(
-        self, seg, coords, n_segs: int, name: str | None = "kdtree.partition"
-    ) -> np.ndarray:
-        """Segmented coordinate sort: the kd-tree's level-synchronous split.
-
-        ``seg`` holds the (already grouped, ascending) segment id of every
-        element and ``coords`` its split-dimension coordinate; the returned
-        permutation orders the whole level by ``(segment, coordinate,
-        position)`` -- i.e. sorts every node's slice independently, stably,
-        in one bulk kernel.  Concrete: composed from the key encode and the
-        two stable argsorts the subclasses already specialize.
-        """
-        self._emit(name, "sort", int(coords.size))
-        key = self.encode_floats_ascending(coords, name=None)
-        o1 = self._argsort_u64(key)
-        o2 = self.argsort_bounded(
-            seg[o1], 0, max(int(n_segs) - 1, 0), name=None
-        )
-        return o1[o2]
-
-    def spatial_knn(
-        self, tree, queries, k: int, name: str | None = "kdtree.knn"
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Exact batched kNN against a built kd-tree.
-
-        Returns ``(d2, ids)`` of shape ``(m, k)``: for every query, the
-        ``k`` nearest points by ``(squared distance, point id)`` ascending
-        lexicographic order -- a *unique* answer set, which is what makes
-        the kNN artifact bit-identical across realizations (traversal
-        order, and hence visit counts, are free to differ; one logical
-        ``map`` record of ``m * k`` is emitted regardless).  ``ids`` carry
-        the tree's index dtype.
-        """
-        raise NotImplementedError
-
-    def spatial_node_reduce(
-        self, tree, values_perm, kind: str,
-        name: str | None = "emst.node_aggregate",
-    ) -> np.ndarray:
-        """Bottom-up per-node min/max of a tree-order per-point array.
-
-        ``values_perm`` is indexed by tree position (``indices`` order);
-        returns one reduced value per node.  ``kind`` is ``"min"`` or
-        ``"max"``.  Exact (min/max never rounds), so bit-identity across
-        backends is free.
-        """
-        raise NotImplementedError
-
-    def spatial_seed_scan(
-        self, labels, knn_i, knn_d2, core2, mutual: bool,
-        out_d2, out_q, name: str | None = "emst.seed",
-    ) -> None:
-        """Boruvka seeding: each point's best foreign kNN entry.
-
-        Fills ``out_d2``/``out_q`` per point with the smallest (mutual-
-        reachability lifted when ``mutual``) distance to a neighbor outside
-        the point's component and that neighbor's id; ``inf``/``-1`` when
-        the whole row is same-component.  Ties keep the first (nearest-
-        rank) column -- deterministic on every backend.
-        """
-        raise NotImplementedError
-
-    def spatial_leaf_pairs(
-        self, tree, leaf_a, leaf_b, pair_lb, labels_perm, core2_perm,
-        mutual: bool, bound_d2, offsets,
-        out_comp, out_d2, out_p, out_q,
-        name: str | None = "emst.leaf_pairs",
-    ) -> None:
-        """Batched leaf-leaf Boruvka interaction over a whole frontier level.
-
-        For pair ``t`` (leaves ``leaf_a[t]``, ``leaf_b[t]``) every point of
-        either side gets one output slot (A-side points in tree order, then
-        B-side, at ``offsets[t]``): its nearest foreign point in the
-        opposite leaf -- component, squared distance, and the two point ids
-        -- when that strictly improves the component's *frozen* bound
-        ``bound_d2`` and the bound exceeds the pair's lower bound
-        ``pair_lb[t]``; ``inf`` distance otherwise.  Slots are disjoint, so
-        a parallel realization is race-free; bounds are read-only inside
-        the kernel (level-synchronous tightening happens in the driver),
-        so results are schedule-independent.  Ties keep the first point in
-        tree order.  One ``map`` record of the summed block work.
-        """
-        raise NotImplementedError
-
-
-#: Monotone float64 -> u64 key masks (shared by the spatial key encode).
-_F64_SIGN = np.uint64(0x8000000000000000)
-_F64_FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
-_F64_NOSIGN = np.uint64(0x7FFFFFFFFFFFFFFF)
-_F64_EXP = np.uint64(0x7FF0000000000000)
-
-
-class NumpyBackend(Backend):
-    """Reference backend: bulk vectorized NumPy kernels.
-
-    A pure extraction of the pre-backend code paths -- outputs and kernel
-    traces are bit-identical to them by construction.
-    """
-
-    name = "numpy"
-
-    # -- array constructors ------------------------------------------------
     def asarray(self, a, dtype=None) -> np.ndarray:
         return np.asarray(a, dtype=dtype)
 
@@ -532,6 +251,17 @@ class NumpyBackend(Backend):
     def canonical_sort_order(
         self, weights, ids, name: str | None = "edges.sort_desc"
     ) -> np.ndarray:
+        """Permutation sorting by (weight descending, position ascending).
+
+        ``ids`` must be the identity permutation in the caller's index
+        dtype; it participates only as the tie-breaker, which lets a
+        backend replace the two-key lexsort with a narrowed single-key
+        sort (same record emitted either way).  NaN weights are rejected
+        by ``as_edge_arrays`` only while debug checks are on; a backend
+        realization must therefore follow the sortlib special-value
+        policy (every NaN keys last, after ``-inf``, mutually tied) so
+        orders stay bit-identical across backends either way.
+        """
         self._emit(name, "sort", weights.size)
         if not hotpath_config().radix_sort:
             # Reference realization -- lexsort: last key is primary.  -w
@@ -551,6 +281,15 @@ class NumpyBackend(Backend):
         self, keys, min_key: int, max_key: int,
         name: str | None = "argsort",
     ) -> np.ndarray:
+        """Stable ascending argsort of integer keys provably in
+        ``[min_key, max_key]``.
+
+        Bit-identical to ``np.argsort(keys, kind="stable")``; the bound is
+        a *narrowing hint* that lets a backend run a counting/radix sort in
+        O(n + k) instead of a comparison sort (the chain-stitch sort's keys
+        are bounded by ``2 * n_edges + 1``).  One ``sort`` record of
+        ``keys.size`` either way.
+        """
         self._emit(name, "sort", keys.size)
         if not hotpath_config().radix_sort:
             return np.argsort(keys, kind="stable")
@@ -565,6 +304,7 @@ class NumpyBackend(Backend):
     def gather_into(
         self, a, idx, out, mode: str = "raise", name: str | None = "gather"
     ) -> np.ndarray:
+        """``out[i] = a[idx[i]]`` into a preallocated buffer."""
         self._emit(name, "gather", int(np.size(idx)))
         np.take(a, idx, out=out, mode=mode)
         return out
@@ -586,6 +326,11 @@ class NumpyBackend(Backend):
         return target
 
     def scatter_max_pairs(self, out, u, v, idx, name: str | None = "scatter_max"):
+        """maxIncident kernel: ``out[u[i]] = out[v[i]] = idx[i]`` in order.
+
+        ``idx`` ascending makes last-write-wins an atomic-max over both
+        endpoint columns (paper Eq. 1 in one scatter).
+        """
         m = int(np.size(u))
         # Ordered-scatter trick: interleave the endpoint columns so writes
         # occur in ascending index order; last-write-wins realizes the
@@ -609,6 +354,7 @@ class NumpyBackend(Backend):
         return target
 
     def masked_fill(self, dst, mask, src, name: str | None = None) -> np.ndarray:
+        """``dst[i] = src[i] (or scalar src) where mask[i]``, in place."""
         self._emit(name, "map", dst.size)
         np.copyto(dst, src, where=mask)
         return dst
@@ -624,6 +370,7 @@ class NumpyBackend(Backend):
         return a[mask]
 
     def compress_into(self, mask, a, out, name: str | None = None) -> np.ndarray:
+        """Stream-compact ``a[mask]`` into a preallocated buffer."""
         self._emit(name, "gather", int(np.size(out)))
         np.compress(mask, a, out=out)
         return out
@@ -648,6 +395,13 @@ class NumpyBackend(Backend):
 
     # -- fused hot-path kernels --------------------------------------------
     def resolve_pointer_forest(self, pointer, name: str = "cc.jump") -> np.ndarray:
+        """Pointer-double a rooted pointer forest to per-element root labels.
+
+        One ``jump`` record per doubling round (including the terminal
+        no-change round), work ``pointer.size`` each.  The result may be
+        ``pointer`` itself or a workspace buffer: scratch lifetime rules
+        apply.
+        """
         n = pointer.size
         if n == 0:
             return pointer
@@ -666,6 +420,15 @@ class NumpyBackend(Backend):
     ) -> int:
         # ``tmp`` staging keeps every vmap gather reading a buffer it does
         # not write.
+        """One level of ``assign_chains`` pool maintenance; returns new length.
+
+        Writes the surviving pool entries (``keep`` mask; ``None`` keeps
+        all) followed by the level's contracted (non-alpha) edges into
+        ``nxt_idx``/``nxt_vert``, relabeling every supervertex through
+        ``vmap``.  Order is deterministic: survivors in pool order, then
+        contracted edges in level order.  Emits one ``gather`` record of
+        the new pool length.
+        """
         tmp = self.take("expand.pool_tmp", nxt_idx.size, nxt_idx.dtype)
         if keep is None:
             k = int(pool_idx.size)
@@ -685,19 +448,34 @@ class NumpyBackend(Backend):
         return k + c
 
     def chain_sort_keys(self, anchor, side, out, name: str | None = None):
+        """Chain-sort key build: ``out[i] = 2*anchor[i] + side[i]``, or
+        ``-1`` where ``anchor`` is negative (the root chain).  ``out`` may
+        be narrower than ``anchor``; the cast is unchecked (callers size
+        the key dtype so every valid key fits)."""
         self._emit(name, "map", int(np.size(anchor)))
         np.multiply(anchor, 2, out=out, casting="unsafe")
         out += side
         out[anchor < 0] = -1
         return out
 
-    # -- spatial kernel vocabulary -----------------------------------------
-    # Reference realizations: bulk NumPy passes, extracted from the
-    # pre-backend spatial code.  The block-structured bodies live in
-    # ``repro.spatial.kernels`` (imported lazily: the spatial package sits
-    # above this module in the layering).
-
+    # -- spatial kernel vocabulary (kd-tree / kNN / dual-tree Boruvka) -----
+    # The spatial front-end (``repro.spatial``) routes its hot kernels
+    # through these methods.  ``tree`` arguments are duck-typed flat-array
+    # kd-trees (``repro.spatial.kdtree.KDTree``): this module never imports
+    # the spatial package at import time; the block-structured reference
+    # bodies live in ``repro.spatial.kernels``, loaded lazily.  The
+    # cross-backend contract is the usual one -- bit-identical arrays,
+    # identical emitted records -- and every realization must be
+    # deterministic (no visit-order-dependent float math escapes a kernel;
+    # candidate ties break on point id).
     def encode_floats_ascending(self, values, name: str | None = None):
+        """Order-preserving monotone float64 -> u64 keys, *ascending*.
+
+        The radix-sort float transform (flip negatives, set the sign bit of
+        non-negatives) with the sortlib special-value policy: ``-0.0`` keys
+        equal to ``+0.0`` and every NaN maps to the all-ones key (sorts
+        last).  Returns workspace scratch (slot ``spatial.fkey``).
+        """
         self._emit(name, "map", int(np.size(values)))
         v = np.ascontiguousarray(values, dtype=np.float64)
         bits = v.view(np.uint64)
@@ -708,9 +486,52 @@ class NumpyBackend(Backend):
         out[(bits & _F64_NOSIGN) > _F64_EXP] = _F64_FULL  # NaN sorts last
         return out
 
+    def _argsort_u64(self, keys) -> np.ndarray:
+        """Stable ascending argsort of u64 keys (internal hook, no record).
+
+        Strategy follows the active ``radix_sort`` hot-path flag exactly as
+        the sort vocabulary does; any stable realization yields the same
+        permutation, which is what keeps :meth:`spatial_partition`
+        bit-identical across backends.
+        """
+        if not hotpath_config().radix_sort:
+            return np.argsort(keys, kind="stable")
+        return sortlib.stable_argsort_unsigned(keys, workspace=self.workspace)
+
+    def spatial_partition(
+        self, seg, coords, n_segs: int, name: str | None = "kdtree.partition"
+    ) -> np.ndarray:
+        """Segmented coordinate sort: the kd-tree's level-synchronous split.
+
+        ``seg`` holds the (already grouped, ascending) segment id of every
+        element and ``coords`` its split-dimension coordinate; the returned
+        permutation orders the whole level by ``(segment, coordinate,
+        position)`` -- i.e. sorts every node's slice independently, stably,
+        in one bulk kernel.  Composed from the key encode and the two
+        stable argsorts, so a subclass that specializes those needs no
+        override here.
+        """
+        self._emit(name, "sort", int(coords.size))
+        key = self.encode_floats_ascending(coords, name=None)
+        o1 = self._argsort_u64(key)
+        o2 = self.argsort_bounded(
+            seg[o1], 0, max(int(n_segs) - 1, 0), name=None
+        )
+        return o1[o2]
+
     def spatial_knn(
         self, tree, queries, k: int, name: str | None = "kdtree.knn"
     ) -> tuple[np.ndarray, np.ndarray]:
+        """Exact batched kNN against a built kd-tree.
+
+        Returns ``(d2, ids)`` of shape ``(m, k)``: for every query, the
+        ``k`` nearest points by ``(squared distance, point id)`` ascending
+        lexicographic order -- a *unique* answer set, which is what makes
+        the kNN artifact bit-identical across realizations (traversal
+        order, and hence visit counts, are free to differ; one logical
+        ``map`` record of ``m * k`` is emitted regardless).  ``ids`` carry
+        the tree's index dtype.
+        """
         self._emit(name, "map", int(queries.shape[0]) * int(k))
         from ..spatial import kernels as _spk
 
@@ -721,6 +542,13 @@ class NumpyBackend(Backend):
         self, tree, values_perm, kind: str,
         name: str | None = "emst.node_aggregate",
     ) -> np.ndarray:
+        """Bottom-up per-node min/max of a tree-order per-point array.
+
+        ``values_perm`` is indexed by tree position (``indices`` order);
+        returns one reduced value per node.  ``kind`` is ``"min"`` or
+        ``"max"``.  Exact (min/max never rounds), so bit-identity across
+        backends is free.
+        """
         self._emit(name, "reduce", int(tree.n_nodes))
         from ..spatial import kernels as _spk
 
@@ -730,6 +558,14 @@ class NumpyBackend(Backend):
         self, labels, knn_i, knn_d2, core2, mutual: bool,
         out_d2, out_q, name: str | None = "emst.seed",
     ) -> None:
+        """Boruvka seeding: each point's best foreign kNN entry.
+
+        Fills ``out_d2``/``out_q`` per point with the smallest (mutual-
+        reachability lifted when ``mutual``) distance to a neighbor outside
+        the point's component and that neighbor's id; ``inf``/``-1`` when
+        the whole row is same-component.  Ties keep the first (nearest-
+        rank) column -- deterministic on every backend.
+        """
         self._emit(name, "map", int(np.size(knn_i)))
         from ..spatial import kernels as _spk
 
@@ -741,6 +577,20 @@ class NumpyBackend(Backend):
         out_comp, out_d2, out_p, out_q,
         name: str | None = "emst.leaf_pairs",
     ) -> None:
+        """Batched leaf-leaf Boruvka interaction over a whole frontier level.
+
+        For pair ``t`` (leaves ``leaf_a[t]``, ``leaf_b[t]``) every point of
+        either side gets one output slot (A-side points in tree order, then
+        B-side, at ``offsets[t]``): its nearest foreign point in the
+        opposite leaf -- component, squared distance, and the two point ids
+        -- when that strictly improves the component's *frozen* bound
+        ``bound_d2`` and the bound exceeds the pair's lower bound
+        ``pair_lb[t]``; ``inf`` distance otherwise.  Slots are disjoint, so
+        a parallel realization is race-free; bounds are read-only inside
+        the kernel (level-synchronous tightening happens in the driver),
+        so results are schedule-independent.  Ties keep the first point in
+        tree order.  One ``map`` record of the summed block work.
+        """
         sizes_a = (tree.end[leaf_a] - tree.start[leaf_a]).astype(np.int64)
         sizes_b = (tree.end[leaf_b] - tree.start[leaf_b]).astype(np.int64)
         self._emit(name, "map", int(sizes_a @ sizes_b))
@@ -750,6 +600,11 @@ class NumpyBackend(Backend):
             tree, leaf_a, leaf_b, pair_lb, labels_perm, core2_perm,
             mutual, bound_d2, offsets, out_comp, out_d2, out_p, out_q,
         )
+
+
+#: The same class under its role name: every backend is a ``Backend``, and
+#: the realizations subclass the NumPy reference.
+Backend = NumpyBackend
 
 
 # ---------------------------------------------------------------------------

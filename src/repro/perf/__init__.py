@@ -1,11 +1,9 @@
-"""Timing, throughput metrics and table rendering for the benchmarks."""
+"""Throughput metrics and table rendering for the benchmarks."""
 
 from .metrics import mpoints_per_sec, speedup
 from .report import format_value, render_table
-from .timers import PhaseTimer
 
 __all__ = [
-    "PhaseTimer",
     "mpoints_per_sec",
     "speedup",
     "render_table",

@@ -65,3 +65,21 @@ def test_checker_catches_failing_block(tmp_path):
     assert checker.run_blocks(
         page, "```python no-run\nraise RuntimeError('x')\n```\n"
     ) == []
+
+
+def test_checker_catches_missing_artifact_key(tmp_path):
+    checker = _load_checker()
+    text = (
+        "### `BENCH_serving.json` — `bench_serving.py`\n\n"
+        "| block | contents |\n|---|---|\n"
+        "| `by_workers` | present |\n"
+        "| `process_pool.supervisor_overhead` | present, nested |\n"
+        "| `process_pool.no_such_block` | missing |\n"
+        "\n### `BENCH_engine.json` — `bench_engine.py`\n\nNo table.\n"
+    )
+    page = tmp_path / "page.md"
+    page.write_text(text, encoding="utf-8")
+    errors = checker.check_artifact_keys(page, text)
+    assert len(errors) == 2
+    assert "no key 'process_pool.no_such_block'" in errors[0]
+    assert "BENCH_engine.json has no | block | contents | table" in errors[1]

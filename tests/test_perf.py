@@ -1,8 +1,6 @@
-"""Perf utility tests: timers, metrics, table rendering, bench harness."""
+"""Perf utility tests: metrics, table rendering, bench harness."""
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 import pytest
@@ -10,33 +8,8 @@ import pytest
 from repro.bench.runners import modeled_unionfind_mt, time_dendrogram
 from repro.parallel import CPU_EPYC_7A53, CPU_SEQUENTIAL
 from repro.parallel.machine import CostModel, scale_trace
-from repro.perf import PhaseTimer, format_value, mpoints_per_sec, render_table, speedup
+from repro.perf import format_value, mpoints_per_sec, render_table, speedup
 from repro.structures.tree import random_spanning_tree
-
-
-class TestPhaseTimer:
-    def test_accumulates(self):
-        t = PhaseTimer()
-        with t.phase("a"):
-            time.sleep(0.01)
-        with t.phase("a"):
-            time.sleep(0.01)
-        assert t.seconds["a"] >= 0.02
-
-    def test_fractions_sum_to_one(self):
-        t = PhaseTimer()
-        t.seconds = {"a": 1.0, "b": 3.0}
-        f = t.fractions()
-        assert f["a"] == 0.25 and f["b"] == 0.75
-
-    def test_empty_fractions(self):
-        assert PhaseTimer().fractions() == {}
-
-    def test_merge(self):
-        t = PhaseTimer()
-        t.seconds = {"a": 1.0}
-        t.merge({"a": 2.0, "b": 1.0})
-        assert t.seconds == {"a": 3.0, "b": 1.0}
 
 
 class TestMetrics:

@@ -279,6 +279,27 @@ class TestSupervision:
         finally:
             pool.shutdown()
 
+    def test_submit_to_unhealthy_pool_returns_lost_ticket(self):
+        # A pool can die between two submits of one batch; a later submit
+        # must come back lost (so the engine degrades it), never queue a
+        # job no worker will run.
+        wf = WorkerFaults(p_crash=1.0, seed=0)
+        pool = ShardPool(1, backend="numpy", worker_faults=wf,
+                         respawn_budget=0, **FAST)
+        try:
+            first = pool.result(pool.submit("call", (_echo, 1)), timeout=60.0)
+            assert first.status == "lost"
+            assert not pool.healthy
+            job = pool.result(pool.submit("call", (_echo, 2)), timeout=3.0)
+            assert job.status == "lost"
+            assert isinstance(job.error, WorkerCrashError)
+            assert job.error_kind == "transient"
+            stats = pool.stats()
+            assert stats["queue_depth"] == 0
+            assert stats["submitted"] == stats["completed"] == 2
+        finally:
+            pool.shutdown()
+
 
 # ---------------------------------------------------------------------------
 # Graceful shutdown ordering (satellite)
@@ -495,6 +516,68 @@ class TestEngineProcessExecutor:
                 for h, b in zip(handles, baseline)
             )
             assert eng.health()["degraded"] >= len(probs) + 1
+        finally:
+            eng.shutdown()
+
+    def test_unhealthy_pool_degrades_under_policy(self, rng):
+        probs = _problems(rng, n_jobs=3)
+        baseline = Engine().fit_many(probs)
+        eng = Engine(
+            executor="process", shards=1,
+            pool_options=dict(
+                backend="numpy",
+                worker_faults=WorkerFaults(p_crash=1.0, seed=0),
+                respawn_budget=0, poison_threshold=10, max_dispatch=10,
+                **FAST,
+            ),
+        )
+        try:
+            results = eng.fit_many(probs, policy=ServePolicy())
+            assert [r.status for r in results] == ["ok"] * len(probs)
+            assert [r.index for r in results] == list(range(len(probs)))
+            assert all(
+                np.array_equal(r.value.parent, b.parent)
+                for r, b in zip(results, baseline)
+            )
+            health = eng.health()
+            assert health["total"]["ok"] == len(probs)
+            assert health["degraded"] == len(probs)
+        finally:
+            eng.shutdown()
+
+    def test_front_door_shed(self, rng):
+        probs = [random_spanning_tree(20_001, rng, skew=0.4) for _ in range(4)]
+
+        def engine():
+            return Engine(executor="process", shards=1,
+                          pool_options=dict(backend="numpy", max_pending=1,
+                                            **FAST))
+
+        eng = engine()
+        try:
+            with pytest.raises(RejectedError):
+                eng.fit_many(probs)
+        finally:
+            eng.shutdown()
+        eng = engine()
+        try:
+            results = eng.fit_many(probs, policy=ServePolicy())
+            assert [r.status for r in results] == ["ok"] + ["failed"] * 3
+            for r in results[1:]:
+                assert isinstance(r.error, RejectedError)
+                assert r.error_kind == "permanent"
+            total = eng.health()["total"]
+            assert (total["ok"], total["failed"]) == (1, 3)
+        finally:
+            eng.shutdown()
+
+    def test_no_policy_batch_records_no_health(self, rng):
+        probs = _problems(rng, n_jobs=3)
+        eng = Engine(executor="process", shards=1,
+                     pool_options=dict(backend="numpy", **FAST))
+        try:
+            eng.fit_many(probs)
+            assert not any(eng.health()["total"].values())
         finally:
             eng.shutdown()
 

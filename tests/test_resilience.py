@@ -427,6 +427,16 @@ class TestMapNoPolicy:
         handles = eng.fit_many(probs, max_workers=2)
         assert all(h.parent is not None for h in handles)
 
+    def test_no_policy_batch_records_no_health(self, rng):
+        def boom(i):
+            raise RuntimeError("boom")
+
+        eng = Engine()
+        eng.fit_many(_problems(rng, 3), max_workers=2)
+        with pytest.raises(RuntimeError, match="boom"):
+            eng.map(boom, range(3), max_workers=1)
+        assert not any(eng.health()["total"].values())
+
 
 class TestServing:
     def test_ok_envelopes_match_plain_run(self, rng):

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Docs hygiene checker: link targets + executable fenced code blocks.
 
-Two checks over README.md and every ``docs/*.md`` file, so the docs suite
-cannot rot:
+Three checks over README.md and every ``docs/*.md`` file, so the docs
+suite cannot rot:
 
 1. **Links.**  Every relative markdown link target (``[text](path)`` and
    bare ``<path>`` reference-style targets) must exist on disk, anchors
@@ -14,6 +14,10 @@ cannot rot:
    carries a ``no-run`` marker (```` ```python no-run ````) for
    illustrative fragments (device code, CLI transcripts).  Blocks run
    with the repository root as the working directory.
+3. **Artifact keys.**  Every section headed ``### `BENCH_<name>.json` ...``
+   must hold a ``| block | contents |`` table, and the first-column key of
+   every row (a backticked dotted path such as ``serving.parity``) must
+   exist in the committed ``benchmarks/BENCH_<name>.json``.
 
 Exit status is non-zero on any failure; failures are listed one per line
 as ``file:line: message``.  Run it locally with::
@@ -23,6 +27,7 @@ as ``file:line: message``.  Run it locally with::
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from pathlib import Path
@@ -44,6 +49,8 @@ DOC_FILES = sorted(
 
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _FENCE_RE = re.compile(r"^```(\w+)?([^\n]*)$")
+_ARTIFACT_RE = re.compile(r"^#{1,6} `(BENCH_\w+\.json)`")
+_ROW_KEY_RE = re.compile(r"^\|\s*`([^`]+)`\s*\|")
 
 
 def _rel(path: Path) -> str:
@@ -115,6 +122,54 @@ def run_blocks(path: Path, text: str) -> list[str]:
     return errors
 
 
+def _has_key(data, dotted: str) -> bool:
+    for part in dotted.split("."):
+        if not isinstance(data, dict) or part not in data:
+            return False
+        data = data[part]
+    return True
+
+
+def check_artifact_keys(path: Path, text: str) -> list[str]:
+    """Every ``| `key` | ...`` row under a ``BENCH_*.json`` heading must
+    name a dotted key path present in that committed artifact."""
+    errors: list[str] = []
+    sections: list[tuple[int, str, list[tuple[int, str]]]] = []
+    in_fence = False
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.strip().startswith("```"):
+            in_fence = not in_fence
+        if in_fence:
+            continue
+        if line.startswith("#"):
+            match = _ARTIFACT_RE.match(line)
+            sections.append((lineno, match.group(1), []) if match
+                            else (lineno, "", []))
+            continue
+        row = _ROW_KEY_RE.match(line.strip())
+        if row and sections and sections[-1][1]:
+            sections[-1][2].append((lineno, row.group(1)))
+    for lineno, name, rows in sections:
+        if not name:
+            continue
+        if not rows:
+            errors.append(f"{_rel(path)}:{lineno}: section for {name} "
+                          "has no | block | contents | table")
+            continue
+        try:
+            data = json.loads(
+                (REPO / "benchmarks" / name).read_text(encoding="utf-8")
+            )
+        except (OSError, ValueError) as exc:
+            errors.append(f"{_rel(path)}:{lineno}: cannot read {name}: {exc}")
+            continue
+        for row_line, key in rows:
+            if not _has_key(data, key):
+                errors.append(f"{_rel(path)}:{row_line}: {name} has no "
+                              f"key {key!r}")
+    return errors
+
+
 def main() -> int:
     sys.path.insert(0, str(REPO / "src"))
     import os
@@ -130,6 +185,7 @@ def main() -> int:
         text = path.read_text(encoding="utf-8")
         failures.extend(check_links(path, text))
         failures.extend(run_blocks(path, text))
+        failures.extend(check_artifact_keys(path, text))
         checked += 1
     for failure in failures:
         print(failure)
