@@ -456,6 +456,9 @@ def cmd_devices(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Already imported by the package itself (Engine's HDBSCAN* path).
+    from .hdbscan.pipeline import DENDROGRAM_ALGORITHMS
+
     parser = argparse.ArgumentParser(
         prog="repro", description="PANDORA reproduction CLI"
     )
@@ -473,7 +476,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--mpts", type=int, default=2)
     p.add_argument("--min-cluster-size", type=int, default=5)
     p.add_argument("--algorithm", default="pandora",
-                   choices=["pandora", "unionfind", "mixed"])
+                   choices=sorted(DENDROGRAM_ALGORITHMS))
     p.add_argument("--out", default=None, help="write labels to .npy")
     p.set_defaults(fn=cmd_cluster)
 

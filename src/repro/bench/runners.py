@@ -21,10 +21,9 @@ import time
 
 import numpy as np
 
-from ..core.baselines.bottomup import dendrogram_bottomup
-from ..core.baselines.mixed import dendrogram_mixed
 from ..core.pandora import pandora
 from ..data.registry import load_dataset
+from ..hdbscan.pipeline import DENDROGRAM_ALGORITHMS
 from ..parallel.machine import (
     CPU_EPYC_7A53,
     GPU_A100,
@@ -87,13 +86,6 @@ def get_mst(
     return out
 
 
-_DENDRO_FNS = {
-    "pandora": lambda u, v, w, nv: pandora(u, v, w, nv)[0],
-    "unionfind": dendrogram_bottomup,
-    "mixed": dendrogram_mixed,
-}
-
-
 def time_dendrogram(
     algorithm: str,
     u: np.ndarray,
@@ -102,8 +94,9 @@ def time_dendrogram(
     n_vertices: int,
     repeats: int = 3,
 ) -> tuple[float, object]:
-    """Best-of-``repeats`` wall time of a dendrogram construction."""
-    fn = _DENDRO_FNS[algorithm]
+    """Best-of-``repeats`` wall time of a dendrogram construction, by its
+    :data:`~repro.hdbscan.pipeline.DENDROGRAM_ALGORITHMS` name."""
+    fn = DENDROGRAM_ALGORITHMS[algorithm]
     best = np.inf
     result = None
     for _ in range(repeats):
@@ -111,7 +104,8 @@ def time_dendrogram(
         result = fn(u, v, w, n_vertices)
         dt = time.perf_counter() - t0
         best = min(best, dt)
-    return best, result
+    # pandora also returns its stats
+    return best, result[0] if isinstance(result, tuple) else result
 
 
 def pandora_trace(

@@ -24,13 +24,15 @@ per-call throwaway sink, so concurrent executions never share mutable
 accounting state (the old module-level ``_NULL_MODEL`` sink was a race).
 
 ``dendrogram_single_level()`` is the Section-3.3.1 ablation (one contraction
-level, bottom-up walks in the contracted dendrogram).
+level, bottom-up walks in the contracted dendrogram), built from the default
+plan with its contraction and expansion phases replaced and run through
+``pandora()``, so it reports the same stats and phase buckets.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Mapping
 
 import numpy as np
@@ -96,9 +98,11 @@ def _sort_phase(a: Mapping[str, Any]) -> dict[str, Any]:
     return {"edges": edges}
 
 
-def _contraction_phase(a: Mapping[str, Any]) -> dict[str, Any]:
+def _contraction_phase(
+    a: Mapping[str, Any], max_levels: int | None = None
+) -> dict[str, Any]:
     edges = a["edges"]
-    levels = contract_multilevel(edges.u, edges.v, edges.n_vertices)
+    levels = contract_multilevel(edges.u, edges.v, edges.n_vertices, max_levels)
     return {"levels": tuple(levels)}
 
 
@@ -143,7 +147,8 @@ def _stats_from(result: PlanResult) -> PandoraStats:
     stats.n_levels = len(levels)
     stats.level_sizes = [lv.n_edges for lv in levels]
     stats.alpha_counts = [lv.n_alpha for lv in levels]
-    stats.n_root_chain = result["assignment"].n_root_chain
+    if "assignment" in result.artifacts:  # absent from the ablation
+        stats.n_root_chain = result["assignment"].n_root_chain
     stats.phase_seconds = result.bucket_seconds
     stats.phase_detail = {t.name: t.seconds for t in result.timings}
     return stats
@@ -226,6 +231,28 @@ def pandora_parents(
     return stitch_chains(assignment, len(u), n_vertices, levels[0].max_inc)
 
 
+def _single_level_expansion_phase(a: Mapping[str, Any]) -> dict[str, Any]:
+    edges, levels = a["edges"], a["levels"]
+    if len(levels) == 1:
+        # No alpha-edges: the dendrogram is one sorted chain.
+        backend = get_backend()
+        n, nv = edges.n_edges, edges.n_vertices
+        parent = backend.full(n + nv, -1, np.int64)
+        parent[n:] = levels[0].max_inc
+        if n > 1:
+            parent[1:n] = backend.arange(n - 1, np.int64)
+        return {"parent": parent}
+    t_0, t_1 = levels[0], levels[1]
+    # Contracted dendrogram of T_1 (computed exactly, then walked).
+    local = pandora_parents(t_1.u, t_1.v, t_1.n_vertices)
+    local_edge_parent = local[: t_1.n_edges]
+    alpha_edge_parent = np.where(
+        local_edge_parent >= 0, t_1.idx[local_edge_parent], -1
+    )
+    return {"parent": expand_single_level(t_0, t_1, alpha_edge_parent,
+                                          t_1.max_inc)}
+
+
 def dendrogram_single_level(
     u, v, w, n_vertices: int | None = None
 ) -> tuple[Dendrogram, PandoraStats]:
@@ -235,46 +262,17 @@ def dendrogram_single_level(
     algorithm), but every contracted edge finds its chain by walking that
     dendrogram bottom-up -- the Theta(n * h_alpha) scheme of Figure 10.
     Produces the identical dendrogram; exists to measure the cost gap.
+    Runs :func:`pandora` on :func:`pandora_plan` with its contraction and
+    expansion phases replaced; the expansion phase provides ``parent``
+    itself, so the plan has no ``stitch`` phase.
     """
-    # Per-call throwaway sink when untracked (same rationale as pandora()).
-    model = active_model() or CostModel()
-    phases: dict[str, float] = {}
-
-    t0 = time.perf_counter()
-    with model.phase("sort"):
-        edges = sort_edges_descending(u, v, w, n_vertices)
-    phases["sort"] = time.perf_counter() - t0
-
-    stats = PandoraStats(n_edges=edges.n_edges, n_vertices=edges.n_vertices)
-
-    t0 = time.perf_counter()
-    with model.phase("contraction"):
-        levels = contract_multilevel(edges.u, edges.v, edges.n_vertices, max_levels=1)
-    phases["contraction"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    with model.phase("expansion"):
-        if len(levels) == 1:
-            # No alpha-edges: the dendrogram is one sorted chain.
-            backend = get_backend()
-            n, nv = edges.n_edges, edges.n_vertices
-            parent = backend.full(n + nv, -1, np.int64)
-            parent[n:] = levels[0].max_inc
-            if n > 1:
-                parent[1:n] = backend.arange(n - 1, np.int64)
-        else:
-            t_0, t_1 = levels[0], levels[1]
-            # Contracted dendrogram of T_1 (computed exactly, then walked).
-            local = pandora_parents(t_1.u, t_1.v, t_1.n_vertices)
-            local_edge_parent = local[: t_1.n_edges]
-            alpha_edge_parent = np.where(
-                local_edge_parent >= 0, t_1.idx[local_edge_parent], -1
-            )
-            parent = expand_single_level(t_0, t_1, alpha_edge_parent, t_1.max_inc)
-    phases["expansion"] = time.perf_counter() - t0
-
-    stats.n_levels = len(levels)
-    stats.level_sizes = [lv.n_edges for lv in levels]
-    stats.alpha_counts = [lv.n_alpha for lv in levels]
-    stats.phase_seconds = phases
-    return Dendrogram(edges=edges, parent=parent), stats
+    plan = Plan([p for p in pandora_plan() if p.name != "stitch"]).replace(
+        "contraction", Phase(
+            "contraction", partial(_contraction_phase, max_levels=1),
+            requires=("edges",), provides=("levels",)),
+    ).replace(
+        "expansion", Phase(
+            "expansion", _single_level_expansion_phase,
+            requires=("edges", "levels"), provides=("parent",)),
+    )
+    return pandora(u, v, w, n_vertices, plan=plan)

@@ -4,8 +4,8 @@ Five pieces (see the sibling modules for the full contracts):
 
 * :mod:`repro.engine.plan` -- composable :class:`Plan`/:class:`Phase`
   pipelines over named, immutable artifacts with per-phase timing; the
-  PANDORA driver (:func:`repro.core.pandora.pandora_plan`) is expressed as
-  one.
+  PANDORA driver (:func:`repro.core.pandora.pandora_plan`) and HDBSCAN*
+  (:func:`repro.hdbscan.pipeline.hdbscan_plan`) are expressed as plans.
 * :mod:`repro.engine.cache` -- the content-keyed, thread-safe
   :class:`ArtifactCache`.
 * :mod:`repro.engine.engine` -- the :class:`Engine` facade: cached fits,

@@ -55,7 +55,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from ..core.pandora import PandoraStats, pandora
-from ..hdbscan.pipeline import HDBSCANResult, hdbscan
+from ..hdbscan.pipeline import HDBSCANResult, hdbscan, hdbscan_plan
 from ..obs.metrics import REGISTRY as _REGISTRY
 from ..obs.metrics import enabled as _obs_enabled
 from ..obs.metrics import label_scope as _label_scope
@@ -68,11 +68,11 @@ from ..parallel.backend import Backend, get_backend, use_backend
 from ..parallel.connected import compress_labels, connected_components
 from ..parallel.machine import CostModel, active_model, untracked
 from ..parallel.workspace import index_dtype
-from ..spatial.emst import EMSTResult, KNNArtifact, emst, knn_graph
+from ..spatial.emst import EMSTResult, KNNArtifact, emst, knn_columns, knn_graph
 from ..structures.dendrogram import Dendrogram
 from ..structures.edgelist import as_edge_arrays
 from .cache import ArtifactCache, content_key
-from .plan import Plan
+from .plan import Phase, Plan
 from .procpool import PoisonedJobError, RejectedError, ShardPool
 from .resilience import (
     BreakerBoard,
@@ -518,7 +518,7 @@ class Engine:
         """Cached mutual-reachability (or Euclidean) EMST of a point cloud.
 
         ``knn`` optionally supplies a shared spatial artifact with at least
-        ``max(mpts, min(seed_k, n))`` columns (the batch path builds one at
+        ``knn_columns(mpts, n, seed_k)`` columns (the batch path builds one at
         the batch-wide maximum); without it the engine fetches or builds a
         cached artifact of exactly that width.  ``points_token`` is as in
         :meth:`knn`.
@@ -532,9 +532,8 @@ class Engine:
         def compute() -> EMSTResult:
             shared = knn
             if shared is None and n > 1:
-                k_use = min(max(mpts, min(seed_k, n)), n)
-                shared = self.knn(pts, k_use, leaf_size=leaf_size,
-                                  points_token=token)
+                shared = self.knn(pts, knn_columns(mpts, n, seed_k),
+                                  leaf_size=leaf_size, points_token=token)
             return emst(pts, mpts=mpts, leaf_size=leaf_size,
                         seed_k=seed_k, knn=shared)
 
@@ -566,54 +565,54 @@ class Engine:
         paper's Figure 15 sweeps ``mpts`` exactly this way); every
         per-``mpts`` EMST is cached for later queries (the dendrogram and
         extraction stages run per call -- use :meth:`fit` for cached
-        dendrogram handles).  Each result's ``phase_seconds["mst"]``
-        records what *this batch* actually paid for that EMST (near zero
-        when it came from cache).
+        dendrogram handles).  Each call runs :func:`~repro.hdbscan.pipeline.
+        hdbscan` on a plan whose ``knn`` and ``emst`` phases read the
+        cache, so ``phase_seconds["mst"]`` records what *this batch*
+        actually paid for that EMST (near zero when it came from cache;
+        the first result also carries the shared kNN build).
         """
         if not mpts_values:
             raise ValueError("mpts_values must be non-empty")
         if any(m < 1 for m in mpts_values):
             raise ValueError(f"every mpts must be >= 1, got {list(mpts_values)}")
         pts = np.ascontiguousarray(points, dtype=np.float64)
-        if pts.ndim != 2:
-            raise ValueError(f"points must be (n, d), got shape {pts.shape}")
         n = int(pts.shape[0])
         _M_CALLS.inc(method="hdbscan_batch")
-
+        # Hash the point array once for the whole batch (the digest, not
+        # the hashing, is what the per-mpts keys need).  The shared kNN
+        # artifact is built on the first ``knn`` phase, at the batch-wide
+        # column count, once hdbscan() has validated its arguments (shape
+        # and dendrogram algorithm included).
+        token = content_key(pts)
+        k = max(knn_columns(m, n) for m in mpts_values)
+        shared = functools.cache(
+            lambda: self.knn(pts, k, leaf_size=leaf_size, points_token=token)
+            if n > 1 else None
+        )
+        plan = hdbscan_plan().replace("knn", Phase(
+            "knn", lambda a: {"knn": shared()},
+            provides=("knn",), bucket="mst",
+        )).replace("emst", Phase(
+            "emst", lambda a: {"mst": self.emst(
+                pts, mpts=a["mpts"], leaf_size=leaf_size, knn=a["knn"],
+                points_token=token,
+            )},
+            requires=("mpts", "knn"), provides=("mst",), bucket="mst",
+        ))
         with self._scope() as backend, _obs_span(
             "hdbscan_batch", backend=backend.name, n=n,
             batch=len(mpts_values),
         ):
-            # Hash the point array once for the whole batch (the digest,
-            # not the hashing, is what the per-mpts keys need).
-            token = content_key(pts)
-            shared = None
-            if n > 1:
-                k_max = min(max(max(m, min(8, n)) for m in mpts_values), n)
-                shared = self.knn(pts, k_max, leaf_size=leaf_size,
-                                  points_token=token)
             results: list[HDBSCANResult] = []
             for m in mpts_values:
                 with _obs_span("hdbscan", mpts=m) as sp:
-                    t0 = time.perf_counter()
-                    mst = self.emst(pts, mpts=m, leaf_size=leaf_size,
-                                    knn=shared, points_token=token)
-                    t_mst = time.perf_counter() - t0
                     res = hdbscan(
-                        pts,
-                        mpts=m,
-                        min_cluster_size=min_cluster_size,
+                        pts, mpts=m, min_cluster_size=min_cluster_size,
                         dendrogram_algorithm=dendrogram_algorithm,
                         allow_single_cluster=allow_single_cluster,
-                        leaf_size=leaf_size,
-                        cost_model=cost_model,
-                        mst=mst,
+                        leaf_size=leaf_size, cost_model=cost_model, plan=plan,
                     )
-                    res.phase_seconds["mst"] = t_mst
-                    sp.annotate(n_clusters=res.n_clusters, **{
-                        f"{name}_s": round(seconds, 6)
-                        for name, seconds in res.phase_seconds.items()
-                    })
+                    sp.annotate(n_clusters=res.n_clusters)
                     results.append(res)
             return results
 

@@ -1,12 +1,14 @@
 """Composable execution plans: named phases producing immutable artifacts.
 
-The PANDORA driver used to be one monolithic ``_run`` function with a
-hand-rolled ``phases`` wall-time dict.  This module is the structured
-replacement, in the spirit of ParChain's framework layer (Yu et al.): a
-:class:`Plan` is an ordered sequence of :class:`Phase` objects, each of
-which reads *named artifacts* produced by earlier phases and contributes
-new ones.  Executing a plan yields a :class:`PlanResult` holding the final
-artifact mapping (read-only) plus per-phase wall-clock timings.
+Every multi-phase computation in the library is a :class:`Plan`, in the
+spirit of ParChain's framework layer (Yu et al.): an ordered sequence of
+:class:`Phase` objects, each of which reads *named artifacts* produced by
+earlier phases and contributes new ones.  Executing a plan yields a
+:class:`PlanResult` holding the final artifact mapping (read-only) plus
+per-phase wall-clock timings -- the library's one timing path for pipeline
+phases.  PANDORA (:func:`repro.core.pandora.pandora_plan`), its
+single-level ablation, and HDBSCAN* (:func:`repro.hdbscan.pipeline.
+hdbscan_plan`, whose ``dendrogram`` phase runs PANDORA's plan) are plans.
 
 Contracts
 ---------
@@ -22,6 +24,10 @@ Contracts
   the initial edge sort, exactly as the paper's phase breakdown groups them
   (Section 6.4.3).  Kernel records emitted inside a phase are tagged with
   the bucket via ``CostModel.phase``.
+* **Spans.**  When a request span is open, each phase runs inside its own
+  ``phase:<name>`` span, which is the current span while the phase runs:
+  a plan executed inside a phase (PANDORA inside HDBSCAN*'s
+  ``dendrogram``) nests its phase spans under that phase.
 
 Plans are immutable; :meth:`Plan.replace` / :meth:`Plan.extend` derive new
 plans, which is how ablations or instrumented variants are composed without
@@ -31,13 +37,14 @@ mutating the default pipeline.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from ..obs.metrics import REGISTRY as _REGISTRY
-from ..obs.spans import Span as _ObsSpan
 from ..obs.spans import current_span as _current_span
+from ..obs.spans import span as _span
 from ..parallel.machine import CostModel
 
 __all__ = ["Phase", "Plan", "PlanError", "PhaseTiming", "PlanResult"]
@@ -172,28 +179,20 @@ class Plan:
                     f"{missing}; available: {sorted(artifacts)}"
                 )
             records_before = len(model.records) if model is not None else 0
-            t0 = time.perf_counter()
-            if model is not None:
-                with model.phase(phase.bucket):
-                    produced = phase.run(view)
-            else:
+            phase_span = (
+                _span(f"phase:{phase.name}", bucket=phase.bucket)
+                if request_span is not None else nullcontext()
+            )
+            tag = model.phase(phase.bucket) if model is not None else nullcontext()
+            with phase_span as sp, tag:
+                t0 = time.perf_counter()
                 produced = phase.run(view)
-            seconds = time.perf_counter() - t0
-            _M_PHASE.observe(seconds, phase=phase.name)
-            if request_span is not None:
-                child = _ObsSpan(
-                    f"phase:{phase.name}",
-                    labels={"bucket": phase.bucket},
-                    duration_s=seconds,
-                )
-                child.start_unix -= seconds
-                if model is not None:
+                seconds = time.perf_counter() - t0
+                if sp and model is not None:
                     new = model.records[records_before:]
-                    child.annotate(
-                        kernels=len(new),
-                        work=round(sum(r.work for r in new), 3),
-                    )
-                request_span.add_child(child)
+                    sp.annotate(kernels=len(new),
+                                work=round(sum(r.work for r in new), 3))
+            _M_PHASE.observe(seconds, phase=phase.name)
             produced = dict(produced or {})
             undeclared = [k for k in phase.provides if k not in produced]
             if undeclared:

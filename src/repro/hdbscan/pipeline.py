@@ -1,58 +1,54 @@
-"""End-to-end HDBSCAN* (Section 6.5 of the paper).
+"""End-to-end HDBSCAN* (Section 6.5 of the paper) as a :class:`~repro.engine.plan.Plan`.
 
-Steps, with per-phase wall times matching the paper's breakdown:
+Six phases over named artifacts, grouped into the paper's three timing
+buckets (Figures 1 and 15):
 
-1. **mst** -- core distances (kNN) + mutual-reachability EMST via dual-tree
-   Boruvka (:mod:`repro.spatial.emst`);
-2. **dendrogram** -- single-linkage hierarchy from the MST, with PANDORA by
-   default or any baseline by name;
-3. **extraction** (optional in the paper, included here) -- condensed tree,
-   stability selection, flat labels.
+1. **knn** (bucket ``mst``) -- kd-tree + kNN self-query
+   (:func:`~repro.spatial.emst.knn_graph`, :func:`~repro.spatial.emst.
+   knn_columns` columns); provides ``knn``;
+2. **emst** (bucket ``mst``) -- mutual-reachability EMST via dual-tree
+   Boruvka over that artifact; provides ``mst``;
+3. **dendrogram** -- single-linkage hierarchy from the MST, with PANDORA by
+   default (its own plan, nested) or any baseline by name; provides
+   ``dendrogram`` and ``pandora_stats``;
+4. **condense** / **select** / **labels** (bucket ``extraction``; optional
+   in the paper, included here) -- condensed tree, stability selection,
+   flat labels; provide ``condensed``, ``selected`` and ``flat``.
 
-``hdbscan(points)`` is the library's front door for clustering users; the
-benchmark harness calls it with different ``dendrogram_algorithm`` values to
-reproduce Figures 1 and 15.
+``hdbscan(points)`` is the library's front door for clustering users; its
+``phase_seconds`` are the plan's bucket times.  The benchmark harness calls
+it with different ``dendrogram_algorithm`` values to reproduce Figures 1
+and 15, and :class:`~repro.engine.Engine` runs a variant whose ``knn`` and
+``emst`` phases come from its artifact cache (``Plan.replace``).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from ..core.baselines.bottomup import dendrogram_bottomup
 from ..core.baselines.mixed import dendrogram_mixed
 from ..core.pandora import PandoraStats, pandora
+from ..engine.plan import Phase, Plan
 from ..parallel.machine import CostModel
-from ..spatial.emst import EMSTResult, emst
+from ..spatial.emst import EMSTResult, emst, knn_columns, knn_graph
 from ..structures.dendrogram import Dendrogram
 from .condensed import CondensedTree, condense_tree
 from .labels import FlatClustering, extract_labels
 from .stability import select_clusters
 
-__all__ = ["HDBSCANResult", "hdbscan", "DENDROGRAM_ALGORITHMS"]
+__all__ = ["HDBSCANResult", "hdbscan", "hdbscan_plan", "DENDROGRAM_ALGORITHMS"]
 
-
-def _pandora_dendrogram(u, v, w, n_vertices, cost_model):
-    dend, stats = pandora(u, v, w, n_vertices, cost_model=cost_model)
-    return dend, stats
-
-
-def _bottomup_dendrogram(u, v, w, n_vertices, cost_model):
-    return dendrogram_bottomup(u, v, w, n_vertices), None
-
-
-def _mixed_dendrogram(u, v, w, n_vertices, cost_model):
-    return dendrogram_mixed(u, v, w, n_vertices), None
-
-
+#: Dendrogram constructions by name.  ``pandora`` returns
+#: ``(dendrogram, stats)``; the baselines return the dendrogram alone.
 DENDROGRAM_ALGORITHMS: dict[str, Callable] = {
-    "pandora": _pandora_dendrogram,
-    "bottomup": _bottomup_dendrogram,
-    "unionfind": _bottomup_dendrogram,  # the paper's baseline name
-    "mixed": _mixed_dendrogram,
+    "pandora": pandora,
+    "bottomup": dendrogram_bottomup,
+    "unionfind": dendrogram_bottomup,  # the paper's baseline name
+    "mixed": dendrogram_mixed,
 }
 
 
@@ -78,6 +74,73 @@ class HDBSCANResult:
         return sum(self.phase_seconds.values())
 
 
+# ---------------------------------------------------------------------------
+# The default plan: knn -> emst -> dendrogram -> condense -> select -> labels.
+# ---------------------------------------------------------------------------
+
+
+def _knn_phase(a: Mapping[str, Any]) -> dict[str, Any]:
+    n = a["points"].shape[0]
+    if n <= 1:  # emst() answers (or rejects) these without a kNN table
+        return {"knn": None}
+    k = knn_columns(a["mpts"], n)
+    return {"knn": knn_graph(a["points"], k, leaf_size=a["leaf_size"])}
+
+
+def _emst_phase(a: Mapping[str, Any]) -> dict[str, Any]:
+    return {"mst": emst(a["points"], mpts=a["mpts"], leaf_size=a["leaf_size"],
+                        knn=a["knn"])}
+
+
+def _dendrogram_phase(a: Mapping[str, Any]) -> dict[str, Any]:
+    mst, n = a["mst"], a["points"].shape[0]
+    build = DENDROGRAM_ALGORITHMS[a["dendrogram_algorithm"]]
+    if build is pandora:
+        dend, stats = pandora(mst.u, mst.v, mst.w, n, cost_model=a["cost_model"])
+    else:
+        dend, stats = build(mst.u, mst.v, mst.w, n), None
+    return {"dendrogram": dend, "pandora_stats": stats}
+
+
+def _condense_phase(a: Mapping[str, Any]) -> dict[str, Any]:
+    return {"condensed": condense_tree(a["dendrogram"], a["min_cluster_size"])}
+
+
+def _select_phase(a: Mapping[str, Any]) -> dict[str, Any]:
+    return {"selected": select_clusters(a["condensed"],
+                                        a["allow_single_cluster"])}
+
+
+def _labels_phase(a: Mapping[str, Any]) -> dict[str, Any]:
+    return {"flat": extract_labels(a["condensed"], a["selected"])}
+
+
+def hdbscan_plan() -> Plan:
+    """The default HDBSCAN* plan.
+
+    Inputs: ``points``, ``mpts``, ``leaf_size``, ``min_cluster_size``,
+    ``allow_single_cluster``, ``dendrogram_algorithm`` and ``cost_model``
+    (which may be ``None``), as :func:`hdbscan` passes them.  Final
+    artifacts: ``knn``, ``mst``, ``dendrogram``, ``pandora_stats``,
+    ``condensed``, ``selected``, ``flat``.  Recompose with
+    :meth:`~repro.engine.plan.Plan.replace`, as the engine does for its
+    cached ``knn`` and ``emst`` phases.
+    """
+    return Plan([
+        Phase("knn", _knn_phase, provides=("knn",), bucket="mst"),
+        Phase("emst", _emst_phase, requires=("knn",), provides=("mst",),
+              bucket="mst"),
+        Phase("dendrogram", _dendrogram_phase, requires=("mst",),
+              provides=("dendrogram", "pandora_stats")),
+        Phase("condense", _condense_phase, requires=("dendrogram",),
+              provides=("condensed",), bucket="extraction"),
+        Phase("select", _select_phase, requires=("condensed",),
+              provides=("selected",), bucket="extraction"),
+        Phase("labels", _labels_phase, requires=("selected",),
+              provides=("flat",), bucket="extraction"),
+    ])
+
+
 def hdbscan(
     points: np.ndarray,
     mpts: int = 2,
@@ -86,7 +149,7 @@ def hdbscan(
     allow_single_cluster: bool = False,
     leaf_size: int = 96,
     cost_model: CostModel | None = None,
-    mst: EMSTResult | None = None,
+    plan: Plan | None = None,
 ) -> HDBSCANResult:
     """Hierarchical density-based clustering of a point cloud.
 
@@ -107,11 +170,10 @@ def hdbscan(
         kd-tree leaf size for the EMST.
     cost_model:
         Optional kernel-trace sink for device-model pricing.
-    mst:
-        Optional precomputed mutual-reachability EMST of ``points`` at this
-        ``mpts`` (e.g. an :class:`~repro.engine.Engine` cache artifact);
-        skips the in-pipeline EMST build and records a zero ``mst`` phase.
-        The caller is responsible for parameter consistency.
+    plan:
+        Optional recomposed :class:`~repro.engine.plan.Plan`; defaults to
+        :func:`hdbscan_plan`.  :class:`~repro.engine.Engine` passes one
+        whose ``knn`` and ``emst`` phases read its artifact cache.
 
     Returns
     -------
@@ -120,8 +182,8 @@ def hdbscan(
         single-linkage :class:`~repro.structures.dendrogram.Dendrogram`,
         the condensed tree and flat clustering, the mutual-reachability
         :class:`~repro.spatial.emst.EMSTResult`, PANDORA stats when that
-        algorithm ran, and per-phase wall times in ``phase_seconds``
-        (``mst`` / ``dendrogram`` / ``extraction``).
+        algorithm ran, and the plan's bucket wall times in
+        ``phase_seconds`` (``mst`` / ``dendrogram`` / ``extraction``).
 
     Raises
     ------
@@ -136,38 +198,21 @@ def hdbscan(
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError(f"points must be (n, d), got shape {points.shape}")
-    try:
-        dendro_fn = DENDROGRAM_ALGORITHMS[dendrogram_algorithm]
-    except KeyError:
+    if dendrogram_algorithm not in DENDROGRAM_ALGORITHMS:
         raise ValueError(
             f"unknown dendrogram algorithm {dendrogram_algorithm!r}; "
             f"choose from {sorted(DENDROGRAM_ALGORITHMS)}"
-        ) from None
-
-    phases: dict[str, float] = {}
-
-    t0 = time.perf_counter()
-    if mst is None:
-        mst = emst(points, mpts=mpts, leaf_size=leaf_size)
-    phases["mst"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    dend, pstats = dendro_fn(mst.u, mst.v, mst.w, points.shape[0], cost_model)
-    phases["dendrogram"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    condensed = condense_tree(dend, min_cluster_size)
-    selected = select_clusters(condensed, allow_single_cluster)
-    flat = extract_labels(condensed, selected)
-    phases["extraction"] = time.perf_counter() - t0
-
+        )
+    result = (plan or hdbscan_plan()).execute(dict(
+        points=points, mpts=mpts, leaf_size=leaf_size,
+        min_cluster_size=min_cluster_size,
+        allow_single_cluster=allow_single_cluster,
+        dendrogram_algorithm=dendrogram_algorithm, cost_model=cost_model,
+    ))
+    a, flat = result.artifacts, result["flat"]
     return HDBSCANResult(
-        labels=flat.labels,
-        probabilities=flat.probabilities,
-        dendrogram=dend,
-        condensed=condensed,
-        flat=flat,
-        mst=mst,
-        pandora_stats=pstats,
-        phase_seconds=phases,
+        labels=flat.labels, probabilities=flat.probabilities,
+        dendrogram=a["dendrogram"], condensed=a["condensed"], flat=flat,
+        mst=a["mst"], pandora_stats=a["pandora_stats"],
+        phase_seconds=result.bucket_seconds,
     )

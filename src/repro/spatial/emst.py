@@ -79,7 +79,17 @@ from ..parallel.workspace import index_dtype
 from .distances import box_gap2, pair_sq_dists
 from .kdtree import KDTree, validate_points
 
-__all__ = ["EMSTResult", "KNNArtifact", "emst", "core_distances", "knn_graph"]
+__all__ = [
+    "EMSTResult", "KNNArtifact", "emst", "core_distances", "knn_graph",
+    "knn_columns",
+]
+
+
+def knn_columns(mpts: int, n: int, seed_k: int = 8) -> int:
+    """kNN columns :func:`emst` reads at ``mpts`` over ``n`` points: the
+    core-distance column widened to ``seed_k`` seeding columns, capped at
+    ``n``.  A shared :class:`KNNArtifact` needs at least this many."""
+    return min(max(mpts, min(seed_k, n)), n)
 
 
 @dataclass(frozen=True)
@@ -164,26 +174,27 @@ class EMSTResult:
 
 
 def core_distances(
-    points: np.ndarray, mpts: int, tree: KDTree | None = None, k_extra: int = 0
+    points: np.ndarray, mpts: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Core distance of each point plus its kNN lists.
 
     ``core(p)`` is the distance to the ``mpts``-th nearest neighbor counting
     p itself (HDBSCAN* convention), i.e. column ``mpts - 1`` of a self-query.
-    Returns ``(core, knn_dists, knn_ids)`` with ``mpts + k_extra`` columns
-    (the extra columns improve Boruvka seeding).
+    Returns ``(core, knn_dists, knn_ids)`` with ``mpts`` columns (fewer when
+    there are fewer points).
     """
     if mpts < 1:
         raise ValueError(f"mpts must be >= 1, got {mpts}")
-    if tree is None:
-        tree = KDTree.build(points)
-    k = min(mpts + k_extra, tree.n_points)
-    dists, ids = tree.query_knn(points, k)
-    # clamp mpts to the available neighbor count (tiny inputs): the core
-    # distance degrades to the farthest available neighbor
-    col = min(mpts, tree.n_points) - 1
-    core = dists[:, col] if col > 0 else np.zeros(points.shape[0])
-    return core, dists, ids
+    knn = knn_graph(points, mpts)
+    return _core_column(knn.dists, mpts), knn.dists, knn.ids
+
+
+def _core_column(dists: np.ndarray, mpts: int) -> np.ndarray:
+    """Column ``mpts - 1`` of a kNN distance table, clamped to the points
+    available (tiny inputs degrade to the farthest neighbor); zeros when
+    that is the point itself."""
+    col = min(mpts, dists.shape[0]) - 1
+    return dists[:, col] if col > 0 else np.zeros(dists.shape[0])
 
 
 def emst(
@@ -205,14 +216,15 @@ def emst(
         kd-tree leaf size (larger favours block work over traversal).
     seed_k:
         Number of kNN columns retained for candidate seeding (at least
-        ``mpts``).
+        ``mpts``; see :func:`knn_columns`).
     knn:
         Optional precomputed :class:`KNNArtifact` over the *same* points
-        (same ``leaf_size``) with at least ``max(mpts, min(seed_k, n))``
-        columns.  Skips the kd-tree build and the kNN self-query -- the
-        engine's batched multi-``mpts`` path shares one artifact across the
-        batch; the columns actually used are sliced to exactly what an
-        unshared run would compute.
+        (same ``leaf_size``) with at least ``knn_columns(mpts, n, seed_k)``
+        columns; built with :func:`knn_graph` when omitted.  A shared
+        artifact skips the kd-tree build and the kNN self-query -- the
+        engine's batched multi-``mpts`` path shares one across the batch;
+        the columns actually used are sliced to exactly what an unshared
+        run would compute.
 
     Returns
     -------
@@ -221,12 +233,15 @@ def emst(
     Raises
     ------
     ValueError
-        If ``points`` is empty, or a supplied ``knn`` artifact covers a
-        different point count or has fewer columns than this call needs.
+        If ``mpts < 1``, ``points`` is empty, or a supplied ``knn``
+        artifact covers a different point count or has fewer columns than
+        this call needs.
     InvalidGraphError
         If ``points`` fails :func:`~repro.spatial.kdtree.validate_points`
         (not ``(n, d)`` with ``d >= 1``, non-finite, or overflowing).
     """
+    if mpts < 1:
+        raise ValueError(f"mpts must be >= 1, got {mpts}")
     points = validate_points(points)
     n = points.shape[0]
     if n == 0:
@@ -236,27 +251,17 @@ def emst(
         return EMSTResult(z.astype(np.int64), z.astype(np.int64), z,
                           np.zeros(1), 0, 0)
 
-    k_seed = max(mpts, min(seed_k, n))
+    k_use = knn_columns(mpts, n, seed_k)
     if knn is None:
-        tree = KDTree.build(points, leaf_size=leaf_size)
-        core, knn_d, knn_i = core_distances(
-            points, mpts, tree, k_extra=k_seed - mpts
-        )
-    else:
-        if knn.n_points != n:
-            raise ValueError(
-                f"knn artifact covers {knn.n_points} points, need {n}"
-            )
-        k_use = min(k_seed, n)
-        if knn.k < k_use:
-            raise ValueError(
-                f"knn artifact has {knn.k} columns, need >= {k_use}"
-            )
-        tree = knn.tree
-        knn_d = knn.dists[:, :k_use]
-        knn_i = knn.ids[:, :k_use]
-        col = min(mpts, n) - 1
-        core = knn.dists[:, col] if col > 0 else np.zeros(n)
+        knn = knn_graph(points, k_use, leaf_size=leaf_size)
+    elif knn.n_points != n:
+        raise ValueError(f"knn artifact covers {knn.n_points} points, need {n}")
+    if knn.k < k_use:
+        raise ValueError(f"knn artifact has {knn.k} columns, need >= {k_use}")
+    tree = knn.tree
+    knn_d = knn.dists[:, :k_use]
+    knn_i = knn.ids[:, :k_use]
+    core = _core_column(knn.dists, mpts)
     mutual = mpts > 1
     core2 = core * core
     knn_d2 = knn_d * knn_d

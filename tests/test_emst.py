@@ -292,3 +292,20 @@ class TestNumpyLeafPairs:
             np.testing.assert_array_equal(g[:base], r[:base])
             np.testing.assert_array_equal(g[base:][hit], r[base:][hit])
         np.testing.assert_array_equal(got[1], ref[1])
+
+
+class TestMptsChecked:
+    """``mpts < 1`` is rejected on every EMST path, not only when emst()
+    builds its own kNN table."""
+
+    @pytest.mark.parametrize("mpts", [0, -3])
+    def test_artifact_path_and_engine(self, rng, mpts):
+        from repro.engine import Engine
+
+        pts = rng.normal(size=(50, 2))
+        with pytest.raises(ValueError, match="mpts must be >= 1"):
+            emst(pts, mpts=mpts, knn=knn_graph(pts, 8))
+        with pytest.raises(ValueError, match="mpts must be >= 1"):
+            Engine().emst(pts, mpts=mpts)
+        with pytest.raises(ValueError, match="mpts must be >= 1"):
+            emst(pts, mpts=mpts)

@@ -191,3 +191,66 @@ class TestExtractLabels:
     def test_noise_fraction(self):
         _, _, res = blob_result()
         assert 0 <= res.flat.noise_fraction < 0.5
+
+
+class TestPipelinePlan:
+    """``hdbscan()`` runs ``hdbscan_plan()``; the engine runs a variant of
+    it.  Both keep the pipeline's entry errors and kernel traces."""
+
+    def test_cost_model_trace_matches_pandora(self):
+        from repro.core.pandora import pandora
+        from repro.parallel.machine import CostModel
+
+        pts, _, _ = blob_result()
+        model = CostModel()
+        res = hdbscan(pts, mpts=4, min_cluster_size=10, cost_model=model)
+        ref = CostModel()
+        pandora(res.mst.u, res.mst.v, res.mst.w, len(pts), cost_model=ref)
+
+        def trace(m):
+            return [(r.name, r.category, r.work, r.phase) for r in m.records]
+
+        assert trace(model) and trace(model) == trace(ref)
+
+    @staticmethod
+    def entry(kind):
+        from repro.engine import Engine
+
+        return hdbscan if kind == "pipeline" else Engine().hdbscan
+
+    @pytest.fixture
+    def tree_builds(self, monkeypatch):
+        from repro.spatial.kdtree import KDTree
+
+        builds = []
+        original = KDTree.build.__func__
+        monkeypatch.setattr(
+            KDTree, "build",
+            classmethod(lambda cls, pts, leaf_size=32:
+                        builds.append(1) or original(cls, pts, leaf_size)),
+        )
+        return builds
+
+    @pytest.mark.parametrize("kind", ["pipeline", "engine"])
+    def test_empty_cloud(self, kind):
+        with pytest.raises(ValueError, match="need at least one point"):
+            self.entry(kind)(np.zeros((0, 2)), mpts=2)
+
+    @pytest.mark.parametrize("kind", ["pipeline", "engine"])
+    def test_bad_arguments_fail_before_knn(self, kind, rng, tree_builds):
+        call = self.entry(kind)
+        with pytest.raises(ValueError, match="points must be"):
+            call(rng.normal(size=50), mpts=2)
+        with pytest.raises(ValueError, match="unknown dendrogram algorithm"):
+            call(rng.normal(size=(50, 2)), mpts=2,
+                 dendrogram_algorithm="nope")
+        assert tree_builds == []
+
+    @pytest.mark.parametrize("kind", ["pipeline", "engine"])
+    def test_nan_is_invalid_graph(self, kind, rng):
+        from repro import InvalidGraphError
+
+        pts = rng.normal(size=(50, 2))
+        pts[7, 1] = np.nan
+        with pytest.raises(InvalidGraphError):
+            self.entry(kind)(pts, mpts=2)

@@ -412,6 +412,33 @@ class TestAcceptance:
                 assert child.trace_id == root.trace_id
                 assert int(child.labels["kernels"]) > 0
 
+    def test_hdbscan_span_nests_plan_phases(self, rng):
+        """HDBSCAN* phases are children of the ``hdbscan`` span, and
+        PANDORA's phases nest under ``phase:dendrogram`` -- not beside it."""
+        clear_spans()
+        Engine().hdbscan(rng.normal(size=(300, 2)), mpts=4,
+                         min_cluster_size=10)
+        (batch,) = [s for s in recent_spans() if s.name == "hdbscan_batch"]
+        (hd,) = [c for c in batch.children if c.name == "hdbscan"]
+        phases = [c for c in hd.children if c.name.startswith("phase:")]
+        assert [c.name for c in phases] == [
+            "phase:knn", "phase:emst", "phase:dendrogram",
+            "phase:condense", "phase:select", "phase:labels",
+        ]
+        assert [c.labels["bucket"] for c in phases] == [
+            "mst", "mst", "dendrogram",
+            "extraction", "extraction", "extraction",
+        ]
+        (dend,) = [c for c in phases if c.name == "phase:dendrogram"]
+        assert [c.name for c in dend.children] == [
+            "phase:sort", "phase:contraction",
+            "phase:expansion", "phase:stitch",
+        ]
+        for child in dend.children:
+            assert child.parent_id == dend.span_id
+            assert child.trace_id == batch.trace_id
+            assert int(child.labels["kernels"]) > 0
+
     def test_process_executor_span_tree_via_metrics(self, rng):
         """ISSUE acceptance: a 4-worker process batch yields, via
         Engine.metrics(), a span tree per request covering queue wait ->

@@ -62,3 +62,19 @@ def test_rejects_zeroed_emst_layers():
         bad["metrics"][layer]["value"] = 0.0
         assert smoke.check("hdbscan", 1, bad, SPEC) == [f"{layer} is not > 0"]
         assert smoke.check("serve", 1, bad, SPEC) == []
+
+
+def test_rejects_zeroed_plan_timing_layers():
+    """The PANDORA layers come from the library's plan timings
+    (``PandoraStats.phase_detail``) and ``extract.condense`` from a rebound
+    function: a zero there means the timing path or a rename broke."""
+    smoke = _load()
+    pandora_layers = ("pandora.sort_ms", "pandora.contraction_ms",
+                      "pandora.expansion_ms")
+    for layer in (*pandora_layers, "extract.condense_ms"):
+        bad = _result(1)
+        bad["metrics"][layer]["value"] = 0.0
+        assert smoke.check("hdbscan", 1, bad, SPEC) == [f"{layer} is not > 0"]
+        want = [f"{layer} is not > 0"] if layer in pandora_layers else []
+        assert smoke.check("dendrogram", 1, bad, SPEC) == want
+        assert smoke.check("serve", 1, bad, SPEC) == []

@@ -7,9 +7,14 @@ last output line, the JSON result:
 * ``correct`` is true and ``failed`` is 0;
 * every metric the spec names is present;
 * the traced ``hdbscan`` run reports ``knn.query_ms``,
-  ``emst.leaf_pairs_ms`` and ``emst.traverse_ms`` above zero -- the layer
-  trace rebinds library functions by name, so a rename would otherwise
-  zero a layer silently.
+  ``emst.leaf_pairs_ms``, ``emst.traverse_ms`` and ``extract.condense_ms``
+  above zero -- the layer trace rebinds library functions by name, so a
+  rename would otherwise zero a layer silently;
+* the traced ``hdbscan`` and ``dendrogram`` runs report
+  ``pandora.sort_ms``, ``pandora.contraction_ms`` and
+  ``pandora.expansion_ms`` above zero -- those come from
+  ``PandoraStats.phase_detail``, the library's plan timings, which a break
+  in the plan's timing path would zero silently.
 
 Usage (from the repository root)::
 
@@ -29,8 +34,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 #: Traced layers that must read above zero, per workload.
+_PANDORA_LAYERS = (
+    "pandora.sort_ms", "pandora.contraction_ms", "pandora.expansion_ms",
+)
 NONZERO_LAYERS = {
-    "hdbscan": ("knn.query_ms", "emst.leaf_pairs_ms", "emst.traverse_ms"),
+    "hdbscan": ("knn.query_ms", "emst.leaf_pairs_ms", "emst.traverse_ms",
+                "extract.condense_ms", *_PANDORA_LAYERS),
+    "dendrogram": _PANDORA_LAYERS,
 }
 
 
