@@ -10,10 +10,10 @@ Follows up the ROADMAP sort note (the sort phase was ~60% of the optimized
 * speedups relative to the ``numpy`` backend (total, sort, and
   contraction+expansion combined, the fused scatter/jump kernels' share).
 
-Seed-parity gated like ``bench_hotpath_speedup.py``: before any timing,
-every backend's parent array is checked bit-identical against the numpy
-backend's, and their kernel traces are compared at a sub-size (trace
-comparison at full scale would just burn memory).  At full size
+Parity gated: before any timing, every backend's parent array is checked
+bit-identical against the numpy backend's, and their kernel traces are
+compared at a sub-size (trace comparison at full scale would just burn
+memory).  At full size
 (>= 500k edges) with numba installed, the run asserts the acceptance bar:
 the numba backend beats numpy on contraction+expansion combined.  Smoke
 runs (CI, ``REPRO_BENCH_SCALE=0.02``) assert only the correctness gates.

@@ -44,13 +44,6 @@ def _fmt(value, suffix: str = "") -> str:
 def _headline(name: str, data: dict) -> list[tuple[str, str]]:
     """(metric, value) headline rows for one artifact, best-effort."""
     bench = data.get("bench", name)
-    if bench == "hotpath_speedup":
-        return [
-            ("end-to-end speedup vs seed",
-             _fmt(_get(data, "speedup", "total"), "x")),
-            ("contraction+expansion speedup",
-             _fmt(_get(data, "speedup", "contraction_plus_expansion"), "x")),
-        ]
     if bench == "sort":
         sizes = data.get("sizes", {})
         largest = _get(sizes, max(sizes, key=lambda s: int(s)), default={}) \

@@ -34,7 +34,7 @@ def main() -> None:
     t_mst = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    dend, stats = pandora(mst.u, mst.v, mst.w, n)
+    dend, stats = pandora(mst.u, mst.v, mst.w, len(particles))
     t_dendro = time.perf_counter() - t0
     print(f"EMST {t_mst:.2f}s ({mst.n_rounds} Boruvka rounds), "
           f"dendrogram {t_dendro:.3f}s ({stats.n_levels} contraction levels, "

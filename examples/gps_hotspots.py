@@ -40,11 +40,11 @@ def main() -> None:
           f"{result.dendrogram.skewness:.0f}):")
 
     t0 = time.perf_counter()
-    ref = dendrogram_bottomup(mst.u, mst.v, mst.w, n)
+    ref = dendrogram_bottomup(mst.u, mst.v, mst.w, len(points))
     t_uf = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    dend, stats = pandora(mst.u, mst.v, mst.w, n)
+    dend, stats = pandora(mst.u, mst.v, mst.w, len(points))
     t_pan = time.perf_counter() - t0
 
     assert np.array_equal(dend.parent, ref.parent), "algorithms disagree!"

@@ -14,26 +14,26 @@ needs:
 * ``u, v``         -- endpoints in this level's vertex labels;
 * ``max_inc``      -- ``maxIncident`` of this level's tree (global indices);
 * ``alpha``        -- the alpha mask;
-* ``vmap``         -- this level's vertex -> next level's supervertex
-                      (``None`` on the last level);
 * ``row_lookup``   -- global edge index -> row in this level's arrays, so
-                      ``row_of`` is a single gather (``None`` when the
-                      row-lookup optimization is disabled).
+                      ``row_of`` is a single gather;
+* ``vmap``         -- this level's vertex -> next level's supervertex
+                      (``None`` on the last level).
 
 The endpoint pair order (u, v) is preserved across levels so that the
 "side" of an anchor edge has a consistent meaning at every level.
 
-Hot path (see :mod:`repro.parallel.workspace`): all index arrays run in the
-adaptive dtype (int32 below the 2**31 threshold), and the supervertex
-labeling uses the structure of the non-alpha forest instead of generic
-hook-and-shortcut CC.  In the non-alpha forest, every non-alpha edge
-``e_k = {u, v}`` satisfies ``k == maxIncident(u)`` or ``k == maxIncident(v)``
-(Eq. 2), so directing each vertex across its maxIncident edge (when that
-edge is non-alpha) yields pointers that strictly increase the edge index --
-except at the component's maximum edge, where both endpoints may point at
-each other (broken toward the smaller vertex id).  The result is a rooted
-pointer forest with exactly one root per component, resolved by pointer
-doubling alone: one "hook" map replaces the whole atomic-min hook loop.
+All index arrays run in the adaptive dtype of
+:func:`repro.parallel.workspace.index_dtype` (int32 below the 2**31
+threshold), and the supervertex labeling uses the structure of the
+non-alpha forest instead of generic hook-and-shortcut CC.  In the non-alpha
+forest, every non-alpha edge ``e_k = {u, v}`` satisfies
+``k == maxIncident(u)`` or ``k == maxIncident(v)`` (Eq. 2), so directing
+each vertex across its maxIncident edge (when that edge is non-alpha) yields
+pointers that strictly increase the edge index -- except at the component's
+maximum edge, where both endpoints may point at each other (broken toward
+the smaller vertex id).  The result is a rooted pointer forest with exactly
+one root per component, resolved by pointer doubling alone: one "hook" map
+replaces the whole atomic-min hook loop.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..parallel.backend import get_backend
-from ..parallel.connected import components_of_forest
+from ..parallel.connected import compress_labels, resolve_pointer_forest
 from ..parallel.machine import debug_checks, emit
-from ..parallel.workspace import hotpath_config, index_dtype
+from ..parallel.workspace import index_dtype
 from ..structures.edgelist import InvalidGraphError
 from .alpha import alpha_mask, max_incident
 
@@ -63,8 +63,8 @@ class ContractionLevel:
     n_vertices: int
     max_inc: np.ndarray    # (n_vertices,) maxIncident as *global* edge index
     alpha: np.ndarray      # (m,) bool
+    row_lookup: np.ndarray  # (idx[-1]+1,) global index -> row
     vmap: np.ndarray | None = None  # (n_vertices,) -> next level supervertex
-    row_lookup: np.ndarray | None = None  # (idx[-1]+1,) global index -> row
 
     @property
     def n_edges(self) -> int:
@@ -77,17 +77,14 @@ class ContractionLevel:
     def row_of(self, global_idx: np.ndarray) -> np.ndarray:
         """Rows of the given global edge indices in this level's arrays.
 
-        With ``row_lookup`` present this is a single gather; otherwise
-        ``idx`` is ascending and a binary search suffices.  Caller must pass
-        indices that exist at this level.
+        A single gather from ``row_lookup``.  Caller must pass indices that
+        exist at this level.
         """
         emit("contract.row_of", "gather", int(np.size(global_idx)))
-        if self.row_lookup is not None:
-            rows = self.row_lookup[global_idx]
-            if debug_checks() and rows.size and bool((rows < 0).any()):
-                raise ValueError("row_of: index not present at this level")
-            return rows
-        return np.searchsorted(self.idx, global_idx)
+        rows = self.row_lookup[global_idx]
+        if debug_checks() and rows.size and bool((rows < 0).any()):
+            raise ValueError("row_of: index not present at this level")
+        return rows
 
 
 def _classify(
@@ -120,13 +117,12 @@ def _build_row_lookup(idx: np.ndarray) -> np.ndarray:
 
 
 def _maxinc_pointers(
-    idx: np.ndarray,
     u: np.ndarray,
     v: np.ndarray,
     n_vertices: int,
     max_inc: np.ndarray,
     alpha: np.ndarray,
-    row_lookup: np.ndarray | None,
+    row_lookup: np.ndarray,
 ) -> np.ndarray:
     """Rooted pointer forest over the non-alpha forest (module docstring).
 
@@ -138,8 +134,6 @@ def _maxinc_pointers(
     backend = get_backend()
     n = n_vertices
     dt = max_inc.dtype
-    if row_lookup is None:
-        row_lookup = _build_row_lookup(idx)
     rows = backend.take("cc.maxinc_rows", n, dt)
     # max_inc == -1 (isolated vertex) gathers a garbage row; masked below.
     backend.gather_into(row_lookup, max_inc, out=rows, mode="wrap", name=None)
@@ -196,9 +190,13 @@ def contract_multilevel(
     ``vmap``.  The last level either has no alpha-edges or the level cap was
     reached.
     """
-    cfg = hotpath_config()
     backend = get_backend()
     m = int(np.size(u))
+    if m and m >= n_vertices:
+        raise InvalidGraphError(
+            f"{m} edges on {n_vertices} vertices: a tree has at most "
+            f"{n_vertices - 1}, so the input has a cycle"
+        )
     dt = index_dtype(m + n_vertices)
     idx = backend.arange(m, dt)
     u = np.ascontiguousarray(u).astype(dt, copy=False)
@@ -207,7 +205,7 @@ def contract_multilevel(
     levels: list[ContractionLevel] = []
     while True:
         max_inc, mask = _classify(idx, u, v, n_vertices)
-        lookup = _build_row_lookup(idx) if cfg.row_lookup else None
+        lookup = _build_row_lookup(idx)
         level = ContractionLevel(
             idx=idx, u=u, v=v, n_vertices=n_vertices, max_inc=max_inc,
             alpha=mask, row_lookup=lookup,
@@ -225,22 +223,21 @@ def contract_multilevel(
                 f"alpha-edge bound violated: {n_alpha} > ({level.n_edges}-1)/2; "
                 "the input is not a tree in canonical order"
             )
-        if cfg.fast_components:
-            ptr = _maxinc_pointers(idx, u, v, n_vertices, max_inc, mask, lookup)
-            vmap, k = components_of_forest(n_vertices, None, pointers=ptr)
-        else:
-            non_alpha = ~mask
-            contracted = np.stack([u[non_alpha], v[non_alpha]], axis=1)
-            vmap, k = components_of_forest(n_vertices, contracted)
-        # The generic CC path sizes its labels from n_vertices alone, which
-        # can disagree with this hierarchy's dtype (chosen from
-        # n_edges + n_vertices); pin every level array to one dtype.
-        vmap = vmap.astype(dt, copy=False)
+        ptr = _maxinc_pointers(u, v, n_vertices, max_inc, mask, lookup)
+        vmap, k = compress_labels(resolve_pointer_forest(ptr))
         level.vmap = vmap
         emit("contract.relabel_edges", "gather", 2 * n_alpha)
         idx = idx[mask]
         u = vmap[u[mask]]
         v = vmap[v[mask]]
+        # A contracted alpha-edge joining a supervertex to itself closes a
+        # cycle that the edge-count check above cannot see (a cycle plus an
+        # isolated vertex).
+        if debug_checks() and bool((u == v).any()):
+            raise InvalidGraphError(
+                "an alpha-edge joins a supervertex to itself; "
+                "the input has a cycle"
+            )
         n_vertices = k
     return levels
 

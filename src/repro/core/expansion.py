@@ -35,7 +35,7 @@ import numpy as np
 from ..parallel.backend import get_backend
 from ..parallel.machine import emit
 from ..parallel.primitives import argsort_bounded, lexsort, segmented_first, sort
-from ..parallel.workspace import hotpath_config, index_dtype
+from ..parallel.workspace import index_dtype
 from .contraction import ContractionLevel
 
 __all__ = [
@@ -68,19 +68,10 @@ class ChainAssignment:
 def assign_chains(levels: list[ContractionLevel]) -> ChainAssignment:
     """Map every edge to its dendrogram chain via the multilevel scan.
 
-    The hot path (``pooled_expansion``) keeps the waiting-edge pool in two
-    preallocated workspace buffers: each level's survivors are compacted
-    into the spare buffer and the level's contracted edges appended behind
-    them, so the per-level ``np.concatenate`` growth of the naive scheme
-    (and its O(levels) fresh allocations) disappears.  An edge enters the
-    pool exactly once, so a capacity of ``n_edges`` never reallocates.
+    The waiting-edge pool lives in two preallocated workspace buffers: each
+    level's survivors are compacted into the spare buffer and the level's
+    contracted edges appended behind them, so no level allocates.
     """
-    if hotpath_config().pooled_expansion:
-        return _assign_chains_pooled(levels)
-    return _assign_chains_concat(levels)
-
-
-def _assign_chains_pooled(levels: list[ContractionLevel]) -> ChainAssignment:
     backend = get_backend()
     n = levels[0].n_edges
     anchor = backend.full(n, -1, np.int64)
@@ -140,52 +131,6 @@ def _assign_chains_pooled(levels: list[ContractionLevel]) -> ChainAssignment:
         )
         cur_idx, nxt_idx = nxt_idx, cur_idx
         cur_vert, nxt_vert = nxt_vert, cur_vert
-
-    return ChainAssignment(anchor=anchor, side=side, level=assigned_level)
-
-
-def _assign_chains_concat(levels: list[ContractionLevel]) -> ChainAssignment:
-    """Seed-equivalent pool handling: per-level concatenate growth."""
-    n = levels[0].n_edges
-    anchor = np.full(n, -1, dtype=np.int64)
-    side = np.zeros(n, dtype=np.int8)
-    assigned_level = np.full(n, -1, dtype=np.int16)
-
-    # Pool of edges waiting for assignment; ``pool_vert`` holds their
-    # supervertex in the level currently being examined.
-    pool_idx = np.empty(0, dtype=np.int64)
-    pool_vert = np.empty(0, dtype=np.int64)
-
-    for li, level in enumerate(levels):
-        if pool_idx.size:
-            a = level.max_inc[pool_vert]
-            emit("expand.anchor_gather", "gather", pool_idx.size)
-            hit = (a >= 0) & (pool_idx > a)
-            emit("expand.membership_test", "map", pool_idx.size)
-            if hit.any():
-                hit_idx = pool_idx[hit]
-                hit_anchor = a[hit]
-                rows = level.row_of(hit_anchor)
-                hit_side = (level.v[rows] == pool_vert[hit]).astype(np.int8)
-                anchor[hit_idx] = hit_anchor
-                side[hit_idx] = hit_side
-                assigned_level[hit_idx] = li
-                emit("expand.assign", "scatter", int(hit_idx.size))
-                keep = ~hit
-                pool_idx = pool_idx[keep]
-                pool_vert = pool_vert[keep]
-
-        if level.vmap is None:
-            break
-
-        # Edges contracted at this level enter the pool, labeled in the next
-        # level's supervertex ids; surviving pool edges are relabeled too.
-        non_alpha = ~level.alpha
-        new_idx = level.idx[non_alpha]
-        new_vert = level.vmap[level.u[non_alpha]]
-        pool_idx = np.concatenate([pool_idx, new_idx])
-        pool_vert = np.concatenate([level.vmap[pool_vert], new_vert])
-        emit("expand.pool_relabel", "gather", pool_idx.size)
 
     return ChainAssignment(anchor=anchor, side=side, level=assigned_level)
 

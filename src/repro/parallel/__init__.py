@@ -55,8 +55,6 @@ from .workspace import (
     hotpath_config,
     index_dtype,
     scoped_workspace,
-    seed_equivalent,
-    set_hotpath_config,
     workspace,
 )
 from .primitives import (
@@ -163,8 +161,6 @@ __all__ = [
     "scoped_workspace",
     "HotpathConfig",
     "hotpath_config",
-    "set_hotpath_config",
     "hotpath",
-    "seed_equivalent",
     "index_dtype",
 ]

@@ -12,7 +12,7 @@ Overrides (everything else inherits the NumPy realization):
 
 * :meth:`NumbaBackend.resolve_pointer_forest` -- pointer doubling with the
   convergence test fused into the jump pass (no temporary, no second scan);
-  drives ``components_of_forest`` in the contraction.
+  drives the supervertex labeling in the contraction.
 * :meth:`NumbaBackend.scatter_max_ordered` / ``scatter_max_pairs`` -- the
   maxIncident scatters as single loops, skipping the interleave staging
   buffers entirely.
@@ -602,12 +602,12 @@ class NumbaBackend(NumpyBackend):
     def _warmup_spatial(self) -> None:
         from ..spatial.kdtree import KDTree  # runtime import: layering
         from .backend import use_backend
-        from .workspace import hotpath
+        from .workspace import INT32_LIMIT, hotpath
 
         rng = np.random.default_rng(0)
         pts = rng.random((8, 2))
-        for adaptive in (True, False):
-            with hotpath(adaptive_dtypes=adaptive), use_backend(self):
+        for limit in (INT32_LIMIT, 0):
+            with hotpath(int32_limit=limit), use_backend(self):
                 tree = KDTree.build(pts, leaf_size=2)
                 d2, ids = self.spatial_knn(tree, pts, 2)
                 labels = np.arange(8, dtype=tree.indices.dtype)

@@ -10,16 +10,16 @@ Two schedules are provided:
   uses: min-label hooking with ``np.minimum.at`` (an atomic-min) followed by
   pointer jumping to a fixed point.  Labels only decrease, so the loop
   terminates; on a forest the number of hook rounds is O(log n).  Correct
-  for any graph.
+  for any graph; the tests use it as the oracle for the contraction's
+  labeling.
 
-* :func:`resolve_pointer_forest` -- the structure-aware fast path for
-  callers that already hold a *rooted pointer forest* (``pointer[x]`` is one
-  step toward x's root, roots point to themselves).  PANDORA's contraction
-  is such a caller: in the non-alpha forest every vertex's ``maxIncident``
-  edge either leaves its component (a root) or points strictly up the edge
-  index order (see :func:`repro.core.contraction._maxinc_pointers`), so a
-  single hook toward the max-incident root followed by pointer doubling
-  replaces the whole hook-and-shortcut loop -- no atomic hooks, no repeated
+* :func:`resolve_pointer_forest` -- for callers that already hold a *rooted
+  pointer forest* (``pointer[x]`` is one step toward x's root, roots point
+  to themselves).  PANDORA's contraction is such a caller: in the non-alpha
+  forest every vertex's ``maxIncident`` edge either leaves its component (a
+  root) or points strictly up the edge index order (see
+  :func:`repro.core.contraction._maxinc_pointers`), so pointer doubling
+  alone labels the supervertices -- no atomic hooks, no repeated
   convergence gathers over the edge list.
 """
 
@@ -145,26 +145,10 @@ def compress_labels(labels: np.ndarray) -> tuple[np.ndarray, int]:
     return out, k
 
 
-def components_of_forest(
-    n: int, edges: np.ndarray | None, *, pointers: np.ndarray | None = None
-) -> tuple[np.ndarray, int]:
+def components_of_forest(n: int, edges: np.ndarray) -> tuple[np.ndarray, int]:
     """Convenience: connected components + compact relabeling.
 
-    Returns ``(labels, k)`` with labels in ``0..k-1``.  The input is trusted
-    to be a forest by PANDORA's contraction (subsets of tree edges always
-    are), but the generic routine is correct for any graph.
-
-    When the caller can derive a rooted pointer forest from structure it
-    already holds -- PANDORA's contraction builds one from the maxIncident
-    array in a single map -- passing it as ``pointers`` skips the generic
-    hook-and-shortcut loop entirely: the components are resolved by pointer
-    doubling alone (:func:`resolve_pointer_forest`).  ``pointers`` is
-    consumed as scratch.  Component *numbering* may differ between the two
-    paths (both are compact and deterministic); all PANDORA quantities are
-    invariant under supervertex relabeling.
+    Returns ``(labels, k)`` with labels in ``0..k-1``.  Correct for any
+    graph, not only forests.
     """
-    if pointers is not None:
-        raw = resolve_pointer_forest(pointers)
-    else:
-        raw = connected_components(n, edges)
-    return compress_labels(raw)
+    return compress_labels(connected_components(n, edges))

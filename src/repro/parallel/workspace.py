@@ -18,16 +18,17 @@ needs.  This module provides both levers for the NumPy reproduction:
   slot names; the same name may be re-``take``-n freely once the previous
   use is finished.  Buffers are returned uninitialized (like ``np.empty``).
 
-* :class:`HotpathConfig` -- feature flags for the optimized hot path.  The
-  default enables everything; :func:`hotpath` temporarily overrides flags,
-  which is how the benchmark suite times the seed-equivalent path and how
-  the dtype property tests pin one side of an int32-vs-int64 comparison.
+* :class:`HotpathConfig` -- the two hot-path settings callers pin: whether
+  sorts use the radix engine or the comparison-sort references, and the
+  int32 threshold.  :func:`hotpath` temporarily overrides them, which is
+  how the sort benchmarks time the reference side and how the dtype
+  property tests pin one side of an int32-vs-int64 comparison.
 
 * :func:`index_dtype` -- the dtype-adaptivity rule: index arrays run in
-  int32 whenever ``n_edges + n_vertices < 2**31`` (halving index-array
-  memory traffic), int64 above that and whenever adaptivity is disabled.
-  The public API boundary (``Dendrogram.parent``, ``as_edge_arrays``)
-  always remains int64.
+  int32 whenever ``n_edges + n_vertices < int32_limit`` (default ``2**31``;
+  halving index-array memory traffic), int64 otherwise, so
+  ``int32_limit=0`` means int64 everywhere.  The public API boundary
+  (``Dendrogram.parent``, ``as_edge_arrays``) always remains int64.
 """
 
 from __future__ import annotations
@@ -43,9 +44,7 @@ __all__ = [
     "INT32_LIMIT",
     "HotpathConfig",
     "hotpath_config",
-    "set_hotpath_config",
     "hotpath",
-    "seed_equivalent",
     "index_dtype",
     "ResourceError",
     "workspace_cap",
@@ -116,22 +115,10 @@ def workspace_cap_set(max_bytes: int | None) -> Iterator[None]:
 
 @dataclass(frozen=True)
 class HotpathConfig:
-    """Feature flags for the allocation-free hot path.
+    """Hot-path settings.
 
     Attributes
     ----------
-    adaptive_dtypes:
-        Run index arrays in int32 below :attr:`int32_limit` (int64 above
-        and at the public API boundary).
-    fast_components:
-        Use the maxIncident-pointer connected-components fast path in the
-        contraction step instead of generic hook-and-shortcut.
-    pooled_expansion:
-        Use the preallocated ping-pong pool in ``assign_chains`` instead of
-        per-level ``np.concatenate`` growth.
-    row_lookup:
-        Precompute per-level global-index -> row lookup tables so
-        ``ContractionLevel.row_of`` is a gather, not a binary search.
     radix_sort:
         Route the sort-vocabulary methods (canonical edge sort, bounded
         chain-stitch sort) through :mod:`repro.parallel.sortlib`'s
@@ -141,22 +128,18 @@ class HotpathConfig:
         benchmark suite can time the reference side and tests can pin it.
     int32_limit:
         Threshold for :func:`index_dtype`; lowered by tests to exercise the
-        int64 path on small inputs.
+        int64 path on small inputs (``0`` forces int64 everywhere).
     """
 
-    adaptive_dtypes: bool = True
-    fast_components: bool = True
-    pooled_expansion: bool = True
-    row_lookup: bool = True
     radix_sort: bool = True
     int32_limit: int = INT32_LIMIT
 
 
 # Context-local configuration (the engine contract: no execution state is
-# process-global).  ``set_hotpath_config`` / ``hotpath`` affect the calling
-# context only, so concurrent executions can pin different flag sets -- one
-# thread timing the seed-equivalent path while another runs fully optimized
-# -- with zero cross-talk.  A context that never set a config falls back to
+# process-global).  ``hotpath`` affects the calling context only, so
+# concurrent executions can pin different settings -- one thread timing the
+# comparison-sort references while another runs the radix engine -- with
+# zero cross-talk.  A context that never set a config falls back to
 # the immutable process default below.
 _DEFAULT_CONFIG = HotpathConfig()
 
@@ -171,18 +154,11 @@ def hotpath_config() -> HotpathConfig:
     return _DEFAULT_CONFIG if cfg is None else cfg
 
 
-def set_hotpath_config(config: HotpathConfig) -> HotpathConfig:
-    """Replace the context's configuration; returns the previous one."""
-    previous = hotpath_config()
-    _CONFIG.set(config)
-    return previous
-
-
 @contextmanager
 def hotpath(**overrides) -> Iterator[HotpathConfig]:
-    """Temporarily override hot-path flags (context-locally)::
+    """Temporarily override hot-path settings (context-locally)::
 
-        with hotpath(adaptive_dtypes=False):
+        with hotpath(int32_limit=0):
             pandora(u, v, w)   # forced int64 internally
     """
     config = replace(hotpath_config(), **overrides)
@@ -193,21 +169,6 @@ def hotpath(**overrides) -> Iterator[HotpathConfig]:
         _CONFIG.reset(token)
 
 
-def seed_equivalent() -> "contextmanager":
-    """Context manager disabling every optimization: the seed code path.
-
-    Used by ``benchmarks/bench_hotpath_speedup.py`` as the baseline side of
-    the speedup measurement.
-    """
-    return hotpath(
-        adaptive_dtypes=False,
-        fast_components=False,
-        pooled_expansion=False,
-        row_lookup=False,
-        radix_sort=False,
-    )
-
-
 def index_dtype(n_elements: int) -> np.dtype:
     """Index dtype for a problem with ``n_elements`` addressable items.
 
@@ -215,8 +176,7 @@ def index_dtype(n_elements: int) -> np.dtype:
     processed so that every index value (edge index, vertex label, dendrogram
     node id) is representable.
     """
-    cfg = hotpath_config()
-    if cfg.adaptive_dtypes and n_elements < cfg.int32_limit:
+    if n_elements < hotpath_config().int32_limit:
         return np.dtype(np.int32)
     return np.dtype(np.int64)
 

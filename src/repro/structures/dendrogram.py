@@ -216,16 +216,7 @@ class Dendrogram:
 
     def lcda(self, ei: int, ej: int) -> int:
         """Lowest Common Dendrogram Ancestor of edge nodes ``ei``/``ej`` (Def. 3)."""
-        depths = self.depths()
-        a, b = ei, ej
-        while depths[a] > depths[b]:
-            a = int(self.parent[a])
-        while depths[b] > depths[a]:
-            b = int(self.parent[b])
-        while a != b:
-            a = int(self.parent[a])
-            b = int(self.parent[b])
-        return a
+        return self.lcda_nodes(ei, ej)
 
     def cophenetic_distance(self, i: int, j: int) -> float:
         """Single-linkage merge height of data points ``i`` and ``j``."""

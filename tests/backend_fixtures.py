@@ -48,9 +48,10 @@ def dtype_regime_params() -> list:
 def dtype_regime(regime: str):
     """Context pinning one side of the int32/int64 adaptive-dtype rule."""
     from repro.parallel import hotpath
+    from repro.parallel.workspace import INT32_LIMIT
 
     assert regime in ("int32", "int64"), regime
-    with hotpath(adaptive_dtypes=(regime == "int32")):
+    with hotpath(int32_limit=INT32_LIMIT if regime == "int32" else 0):
         yield
 
 

@@ -31,6 +31,7 @@ from repro.parallel import (
     use_backend,
     workspace,
 )
+from repro.parallel.workspace import INT32_LIMIT
 from repro.structures.tree import random_spanning_tree
 
 N_THREADS = 8
@@ -124,8 +125,8 @@ class TestConcurrentParity:
         """Threads pinning *different* hot-path flag sets concurrently must
         each reproduce their own serial run (flags are context-local)."""
         configs = [
-            {}, {"radix_sort": False}, {"adaptive_dtypes": False},
-            {"fast_components": False, "pooled_expansion": False},
+            {}, {"radix_sort": False}, {"int32_limit": 0},
+            {"int32_limit": 0, "radix_sort": False},
         ]
         problems = _problems(len(configs), size=700)
 
@@ -348,7 +349,7 @@ class TestContextLocality:
 
         def pinner(barrier):
             barrier.wait()
-            with hotpath(adaptive_dtypes=False, radix_sort=False):
+            with hotpath(int32_limit=0, radix_sort=False):
                 pinned.set()
                 assert release.wait(timeout=30)
             return None
@@ -357,12 +358,12 @@ class TestContextLocality:
             barrier.wait()
             assert pinned.wait(timeout=30)
             cfg = hotpath_config()
-            seen["flags"] = (cfg.adaptive_dtypes, cfg.radix_sort)
+            seen["flags"] = (cfg.int32_limit, cfg.radix_sort)
             release.set()
             return None
 
         _run_threads([pinner, observer], 2)
-        assert seen["flags"] == (True, True)
+        assert seen["flags"] == (INT32_LIMIT, True)
 
     def test_tracking_stack_is_context_local(self):
         entered = threading.Event()

@@ -51,7 +51,7 @@ def weighted_trees(draw, max_vertices: int = 64):
 def test_parents_bit_identical_across_dtypes(tree):
     u, v, w = tree
     got32, _ = pandora(u, v, w)
-    with hotpath(adaptive_dtypes=False):
+    with hotpath(int32_limit=0):
         got64, _ = pandora(u, v, w)
     assert got32.parent.dtype == np.int64  # public boundary stays int64
     assert got64.parent.dtype == np.int64
@@ -63,7 +63,7 @@ def test_parents_bit_identical_across_dtypes(tree):
 def test_single_level_ablation_bit_identical(tree):
     u, v, w = tree
     got32, _ = dendrogram_single_level(u, v, w)
-    with hotpath(adaptive_dtypes=False):
+    with hotpath(int32_limit=0):
         got64, _ = dendrogram_single_level(u, v, w)
     assert np.array_equal(got32.parent, got64.parent)
 
@@ -82,7 +82,7 @@ def test_internal_dtype_is_int32_below_threshold(rng):
 
 def test_internal_dtype_is_int64_when_disabled(rng):
     u, v, w = random_spanning_tree(100, rng, skew=0.2)
-    with hotpath(adaptive_dtypes=False):
+    with hotpath(int32_limit=0):
         e = sort_edges_descending(u, v, w)
         assert e.index_dtype == np.int64
         levels = contract_multilevel(e.u, e.v, e.n_vertices)
@@ -109,13 +109,14 @@ def test_threshold_boundary_switches_dtype(rng):
 
 
 def test_mixed_config_dtype_boundary(rng):
-    """Generic CC picks its dtype from n_vertices alone; a limit between
-    n_vertices and n_edges + n_vertices must not crash or change output
-    (regression: vmap/pool dtype mismatch in pooled expansion)."""
+    """A limit between n_vertices and n_edges + n_vertices must not crash
+    or change output: every level array, vmap included, follows the
+    hierarchy's dtype (regression: vmap/pool dtype mismatch in pooled
+    expansion)."""
     n_vertices = 60
     u, v, w = random_spanning_tree(n_vertices, rng, skew=0.4)
     ref, _ = pandora(u, v, w)
-    with hotpath(fast_components=False, int32_limit=100):
+    with hotpath(int32_limit=100):
         mixed, _ = pandora(u, v, w)
     assert np.array_equal(mixed.parent, ref.parent)
 
@@ -126,7 +127,7 @@ def test_boundary_sizes_match_oracle(rng):
         u, v, w = random_spanning_tree(n, rng, skew=0.3)
         ref = dendrogram_bottomup(u, v, w).parent
         got32, _ = pandora(u, v, w)
-        with hotpath(adaptive_dtypes=False):
+        with hotpath(int32_limit=0):
             got64, _ = pandora(u, v, w)
         assert np.array_equal(got32.parent, ref)
         assert np.array_equal(got64.parent, ref)
@@ -134,8 +135,8 @@ def test_boundary_sizes_match_oracle(rng):
 
 def test_spatial_pipeline_bit_identical_across_dtypes(rng):
     """The spatial front-end follows the same rule: tree indices and
-    ``KNNArtifact.ids`` are int32 below the threshold, int64 when adaptive
-    dtypes are disabled, and every *value* (distances, neighbor identities,
+    ``KNNArtifact.ids`` are int32 below the threshold, int64 with
+    ``int32_limit=0``, and every *value* (distances, neighbor identities,
     EMST edges) is bit-identical either way."""
     from repro.spatial import KDTree, emst, knn_graph
 
@@ -145,7 +146,7 @@ def test_spatial_pipeline_bit_identical_across_dtypes(rng):
     tree32 = KDTree.build(pts, leaf_size=16)
     art32 = knn_graph(pts, 8, leaf_size=16)
     mst32 = emst(pts, mpts=4, knn=art32)
-    with hotpath(adaptive_dtypes=False):
+    with hotpath(int32_limit=0):
         tree64 = KDTree.build(pts, leaf_size=16)
         art64 = knn_graph(pts, 8, leaf_size=16)
         mst64 = emst(pts, mpts=4, knn=art64)
@@ -172,6 +173,6 @@ def test_mst_pipeline_bit_identical_across_dtypes(rng):
     d = np.sqrt(((pts[iu] - pts[iv]) ** 2).sum(axis=1))
     u, v, w = mst_kruskal(n, iu, iv, d)
     got32, _ = pandora(u, v, w)
-    with hotpath(adaptive_dtypes=False):
+    with hotpath(int32_limit=0):
         got64, _ = pandora(u, v, w)
     assert np.array_equal(got32.parent, got64.parent)

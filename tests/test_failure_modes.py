@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import dendrogram_bottomup, pandora
+from repro import Engine, dendrogram_bottomup, pandora
 from repro.core.contraction import contract_multilevel
 from repro.hdbscan import hdbscan
+from repro.parallel import debug_checks_set
 from repro.spatial import KDTree, emst
 from repro.structures.edgelist import InvalidGraphError, sort_edges_descending
 
@@ -43,13 +44,27 @@ class TestEdgeInputValidation:
 
 
 class TestNonTreeInputs:
+    TRIANGLE = ([0, 1, 2], [1, 2, 0], [3.0, 2.0, 1.0])
+
     def test_cycle_input_detected(self):
-        """A cycle violates the alpha bound and must raise, not mis-build --
+        """A cycle must make PANDORA itself raise, not mis-build --
         normalized to InvalidGraphError wherever it surfaces."""
         # triangle: 3 edges on 3 vertices
-        with pytest.raises(InvalidGraphError):
-            d, _ = pandora([0, 1, 2], [1, 2, 0], [3.0, 2.0, 1.0])
-            d.validate()
+        with pytest.raises(InvalidGraphError, match="cycle"):
+            pandora(*self.TRIANGLE)
+
+    def test_cycle_detected_without_debug_checks(self):
+        """The edge-count check is always on: benchmark mode still rejects
+        more edges than a tree on n_vertices can have."""
+        with debug_checks_set(False), pytest.raises(InvalidGraphError):
+            pandora(*self.TRIANGLE)
+
+    @pytest.mark.parametrize("n_vertices", [None, 4])
+    def test_engine_fit_rejects_cycle(self, n_vertices):
+        """With an isolated fourth vertex the edge count fits a tree; the
+        debug check on the contracted alpha-edges catches the cycle."""
+        with pytest.raises(InvalidGraphError, match="cycle"):
+            Engine().fit(*self.TRIANGLE, n_vertices=n_vertices)
 
     def test_forest_input_not_silently_wrong(self):
         """Two components: PANDORA either raises the normalized error or

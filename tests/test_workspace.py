@@ -7,11 +7,12 @@ import pytest
 
 from repro import pandora
 from repro.core.contraction import contract_multilevel
-from repro.core.expansion import assign_chains
+from repro.core.expansion import ChainAssignment, assign_chains
 from repro.parallel import (
     HotpathConfig,
     Workspace,
     components_of_forest,
+    compress_labels,
     connected_components,
     debug_checks,
     debug_checks_set,
@@ -19,9 +20,9 @@ from repro.parallel import (
     hotpath_config,
     resolve_pointer_forest,
     scoped_workspace,
-    seed_equivalent,
     workspace,
 )
+from repro.parallel.workspace import INT32_LIMIT
 from repro.structures.edgelist import sort_edges_descending
 from repro.structures.tree import random_spanning_tree
 
@@ -85,21 +86,14 @@ class TestWorkspace:
 class TestHotpathConfig:
     def test_default_everything_on(self):
         cfg = HotpathConfig()
-        assert cfg.adaptive_dtypes and cfg.fast_components
-        assert cfg.pooled_expansion and cfg.row_lookup
+        assert cfg.radix_sort and cfg.int32_limit == INT32_LIMIT
 
     def test_override_restores(self):
         before = hotpath_config()
-        with hotpath(fast_components=False) as cfg:
-            assert not cfg.fast_components
+        with hotpath(radix_sort=False) as cfg:
+            assert not cfg.radix_sort
             assert hotpath_config() is cfg
         assert hotpath_config() is before
-
-    def test_seed_equivalent_disables_all(self):
-        with seed_equivalent():
-            cfg = hotpath_config()
-            assert not (cfg.adaptive_dtypes or cfg.fast_components
-                        or cfg.pooled_expansion or cfg.row_lookup)
 
 
 class TestDebugChecks:
@@ -128,7 +122,7 @@ class TestPointerForest:
 
     def test_components_of_forest_pointer_path(self):
         ptr = np.array([0, 0, 1, 3, 3])
-        labels, k = components_of_forest(5, None, pointers=ptr.copy())
+        labels, k = compress_labels(resolve_pointer_forest(ptr.copy()))
         assert k == 2
         assert labels[0] == labels[1] == labels[2]
         assert labels[3] == labels[4]
@@ -144,43 +138,55 @@ def _partition_key(labels: np.ndarray) -> np.ndarray:
 
 class TestFastComponentsEquivalence:
     def test_vmaps_induce_same_partition(self, rng):
-        """Fast maxIncident-pointer CC groups the *original* vertices exactly
-        like generic hook-and-shortcut at every contraction level.
-
-        Supervertex ids at level l are internal names, and the two paths may
-        number them differently, so the comparison composes the vmaps down
-        to original-vertex partitions before canonicalizing.
-        """
+        """The maxIncident-pointer labeling groups each level's vertices
+        exactly like generic hook-and-shortcut CC over the level's non-alpha
+        edges.  The two number components differently, so the comparison
+        canonicalizes both partitions first."""
         for trial in range(20):
             n = int(rng.integers(3, 150))
             u, v, w = random_spanning_tree(n, rng, skew=float(rng.random()))
             e = sort_edges_descending(u, v, w)
-            fast = contract_multilevel(e.u, e.v, e.n_vertices)
-            with hotpath(fast_components=False):
-                slow = contract_multilevel(e.u, e.v, e.n_vertices)
-            assert len(fast) == len(slow)
-            phi_f = np.arange(e.n_vertices)  # original vertex -> level vertex
-            phi_s = np.arange(e.n_vertices)
-            for lf, ls in zip(fast, slow):
-                assert np.array_equal(lf.alpha, ls.alpha)
-                if lf.vmap is None:
-                    assert ls.vmap is None
+            for lv in contract_multilevel(e.u, e.v, e.n_vertices):
+                if lv.vmap is None:
                     continue
-                assert ls.vmap is not None
-                phi_f = lf.vmap[phi_f]
-                phi_s = ls.vmap[phi_s]
+                non_alpha = ~lv.alpha
+                ref, k = components_of_forest(
+                    lv.n_vertices,
+                    np.stack([lv.u[non_alpha], lv.v[non_alpha]], axis=1),
+                )
+                assert int(lv.vmap.max()) + 1 == k
                 assert np.array_equal(
-                    _partition_key(phi_f), _partition_key(phi_s)
+                    _partition_key(lv.vmap), _partition_key(ref)
                 )
 
-    def test_parents_identical(self, rng):
-        for trial in range(20):
-            n = int(rng.integers(2, 200))
-            u, v, w = random_spanning_tree(n, rng, skew=float(rng.random()))
-            fast, _ = pandora(u, v, w)
-            with hotpath(fast_components=False):
-                slow, _ = pandora(u, v, w)
-            assert np.array_equal(fast.parent, slow.parent)
+
+def _assign_chains_concat(levels) -> ChainAssignment:
+    """Oracle for ``assign_chains``: the same level scan with the pool grown
+    by per-level concatenation and rows found by binary search."""
+    n = levels[0].n_edges
+    anchor = np.full(n, -1, dtype=np.int64)
+    side = np.zeros(n, dtype=np.int8)
+    assigned_level = np.full(n, -1, dtype=np.int16)
+    pool_idx = np.empty(0, dtype=np.int64)
+    pool_vert = np.empty(0, dtype=np.int64)
+    for li, level in enumerate(levels):
+        if pool_idx.size:
+            a = level.max_inc[pool_vert]
+            hit = (a >= 0) & (pool_idx > a)
+            rows = np.searchsorted(level.idx, a[hit])
+            anchor[pool_idx[hit]] = a[hit]
+            side[pool_idx[hit]] = level.v[rows] == pool_vert[hit]
+            assigned_level[pool_idx[hit]] = li
+            pool_idx = pool_idx[~hit]
+            pool_vert = pool_vert[~hit]
+        if level.vmap is None:
+            break
+        non_alpha = ~level.alpha
+        pool_idx = np.concatenate([pool_idx, level.idx[non_alpha]])
+        pool_vert = np.concatenate(
+            [level.vmap[pool_vert], level.vmap[level.u[non_alpha]]]
+        )
+    return ChainAssignment(anchor=anchor, side=side, level=assigned_level)
 
 
 class TestPooledExpansionEquivalence:
@@ -191,8 +197,7 @@ class TestPooledExpansionEquivalence:
             e = sort_edges_descending(u, v, w)
             levels = contract_multilevel(e.u, e.v, e.n_vertices)
             pooled = assign_chains(levels)
-            with hotpath(pooled_expansion=False):
-                concat = assign_chains(levels)
+            concat = _assign_chains_concat(levels)
             assert np.array_equal(pooled.anchor, concat.anchor)
             assert np.array_equal(pooled.side, concat.side)
             assert np.array_equal(pooled.level, concat.level)
@@ -213,15 +218,6 @@ class TestRowLookup:
                 assert np.array_equal(
                     lv.row_of(sub), np.searchsorted(lv.idx, sub)
                 )
-
-    def test_disabled_lookup_falls_back(self, rng):
-        u, v, w = random_spanning_tree(40, rng, skew=0.0)
-        e = sort_edges_descending(u, v, w)
-        with hotpath(row_lookup=False, fast_components=False):
-            levels = contract_multilevel(e.u, e.v, e.n_vertices)
-        for lv in levels:
-            assert lv.row_lookup is None
-            assert np.array_equal(lv.row_of(lv.idx), np.arange(lv.n_edges))
 
     def test_lookup_rejects_absent_index_in_debug(self, rng):
         u, v, w = random_spanning_tree(60, rng, skew=0.0)
