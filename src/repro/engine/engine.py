@@ -668,9 +668,10 @@ class Engine:
         a job that keeps killing workers is quarantined
         (:class:`~repro.engine.procpool.PoisonedJobError`), and admission
         control sheds load (:class:`~repro.engine.procpool.
-        RejectedError`).  ``fn`` must then be picklable (module-level);
-        :meth:`fit_many` / :meth:`hdbscan_many` ship picklable job
-        descriptors instead and have no such restriction.  If the pool is
+        RejectedError`).  ``fn`` must then be picklable (module-level),
+        or every job fails permanently at submission; :meth:`fit_many` /
+        :meth:`hdbscan_many` ship picklable job descriptors instead and
+        have no such restriction.  If the pool is
         (or goes) unhealthy, affected jobs transparently degrade to the
         thread path -- legal because backends and processes are
         bit-identical on every input.

@@ -9,10 +9,15 @@ a hung batch.  ``Engine(executor="process")`` routes ``map`` /
 
 Supervision model
 -----------------
-One daemon supervisor thread owns all pool state.  Workers send
-heartbeats, results, and classified errors over a shared result queue
-(see :mod:`repro.engine.worker` for the wire protocol); the supervisor
-multiplexes that queue with a periodic scan:
+One daemon supervisor thread owns all pool state.  Each worker has its
+own duplex pipe carrying its jobs, heartbeats, results and classified
+errors (see :mod:`repro.engine.worker` for the wire protocol).  The
+supervisor blocks in :func:`multiprocessing.connection.wait` on every
+worker's pipe, every worker's ``Process.sentinel`` and one wake-up pipe
+written by :meth:`ShardPool.submit` and :meth:`ShardPool.shutdown`, with
+a periodic tick for heartbeat and deadline checks.  A result, a death or
+a submission therefore wakes it directly, and a worker that dies, even in
+the middle of a write, can only close its own pipe:
 
 * **Dead worker** -- ``Process.exitcode`` is set without a clean stop:
   counted as a crash (``CRASH_EXITCODE`` marks *injected* kills), the
@@ -51,26 +56,28 @@ decorrelate.
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import os
 import pickle
-import queue as queue_mod
 import threading
 import time
 import weakref
-from collections import deque
+from collections import Counter, deque
 from typing import Any
 
 from ..obs.metrics import REGISTRY as _REGISTRY
 from .cache import content_key
 from .worker import (
     CRASH_EXITCODE,
+    JOB_HEAD,
+    JOB_KINDS,
     MSG_DONE,
     MSG_ERR,
     MSG_HB,
     MSG_READY,
-    JOB_KINDS,
     WorkerConfig,
+    dumps,
     worker_main,
 )
 
@@ -85,9 +92,9 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # Observability mirrors (see docs/observability.md).  Counters mirror the
-# pool's authoritative ints at the same call sites; gauges are published
-# by the supervisor loop each tick (with several pools in one process the
-# gauges reflect the most recently scanned pool).
+# pool's authoritative counts at the same call sites; gauges are published
+# by the supervisor loop each time it wakes (with several pools in one
+# process the gauges reflect the most recently scanned pool).
 # ---------------------------------------------------------------------------
 _M_POOL_EVENTS = _REGISTRY.counter(
     "repro_pool_events_total",
@@ -187,24 +194,24 @@ class ShardJob:
     ``status`` is ``None`` while queued or in flight, then one of
     ``"ok" | "failed" | "timeout" | "cancelled" | "lost"`` (``lost`` =
     the pool died under it; the engine degrades lost jobs to the thread
-    path).  Wait on it with :meth:`ShardPool.result`.
+    path).  Wait on it with :meth:`ShardPool.result`.  ``frame`` is the
+    pickled ``(kind, payload, trace)`` body every dispatch sends.
     """
 
     __slots__ = (
-        "id", "kind", "payload", "fingerprint", "deadline_at",
+        "id", "kind", "frame", "fingerprint", "deadline_at",
         "retry_budget", "created_at", "attempts", "retries", "kills",
         "status", "value", "error", "error_kind", "worker", "latency_s",
-        "event", "trace", "enqueued_at", "queue_wait_s", "remote_span",
+        "event", "enqueued_at", "queue_wait_s", "remote_span",
         "created_unix",
     )
 
-    def __init__(self, job_id: int, kind: str, payload: Any,
+    def __init__(self, job_id: int, kind: str, frame: bytes | None,
                  fingerprint: tuple | None, deadline_at: float | None,
-                 retry_budget: int, created_at: float,
-                 trace: tuple[str, str] | None = None) -> None:
+                 retry_budget: int, created_at: float) -> None:
         self.id = job_id
         self.kind = kind
-        self.payload = payload
+        self.frame = frame
         self.fingerprint = fingerprint
         self.deadline_at = deadline_at
         self.retry_budget = retry_budget
@@ -219,11 +226,8 @@ class ShardJob:
         self.worker: int | None = None
         self.latency_s = 0.0
         self.event = threading.Event()
-        # Observability: the request's (trace_id, parent_span_id) pair
-        # shipped inside the job envelope, accumulated queue wait across
-        # (re-)dispatches, and the worker-side span tree shipped back
-        # with the result.
-        self.trace = trace
+        # Observability: accumulated queue wait across (re-)dispatches, and
+        # the worker-side span tree shipped back with the result.
         self.enqueued_at = created_at
         self.queue_wait_s = 0.0
         self.remote_span: dict | None = None
@@ -235,15 +239,15 @@ class ShardJob:
 
 
 class _Worker:
-    """Supervisor-side record of one shard process."""
+    """Supervisor-side record of one shard process and its pipe end."""
 
-    __slots__ = ("wid", "proc", "job_q", "ready", "stopping",
+    __slots__ = ("wid", "proc", "conn", "ready", "stopping",
                  "spawned_at", "last_hb", "current")
 
-    def __init__(self, wid: int, proc, job_q, now: float) -> None:
+    def __init__(self, wid: int, proc, conn, now: float) -> None:
         self.wid = wid
         self.proc = proc
-        self.job_q = job_q
+        self.conn = conn
         self.ready = False
         self.stopping = False
         self.spawned_at = now
@@ -362,12 +366,16 @@ class ShardPool:
         self._cache_entries = cache_entries
 
         self._ctx = mp.get_context(start_method)
-        self._result_q = self._ctx.Queue()
         self._tick = max(0.01, min(0.25, heartbeat_s / 2.0))
+        # The supervisor's wake-up pipe (see _kick); it closes both ends
+        # when it exits.
+        wake_r, wake_w = os.pipe()
+        os.set_blocking(wake_w, False)
+        self._wake_r = open(wake_r, "rb", buffering=0)
+        self._wake_w = open(wake_w, "wb", buffering=0)
 
         self._cond = threading.Condition()
         self._workers: list[_Worker] = []
-        self._by_wid: dict[int, _Worker] = {}
         self._pending: deque[ShardJob] = deque()
         self._jobs: dict[int, ShardJob] = {}
         self._quarantine: set[tuple] = set()
@@ -377,19 +385,10 @@ class ShardPool:
         self._draining = False
         self._unhealthy = False
 
-        # Counters (read under the lock via stats()).
-        self._submitted = 0
-        self._completed = 0
-        self._shed = 0
-        self._respawns = 0
-        self._crashes = 0
-        self._hangs = 0
-        self._injected_kills = 0
-        self._quarantined = 0
-        self._retries = 0
+        # Event counts by metric label (read under the lock via stats()).
+        self._events: Counter[str] = Counter()
 
         self._all_procs: list = []
-        self._all_job_qs: list = []
         self._finalizer = weakref.finalize(self, _reap, self._all_procs)
 
         now = time.monotonic()
@@ -418,8 +417,11 @@ class ShardPool:
         subtree stitches under the caller's request span (see
         ``repro.obs``).  Raises :class:`RejectedError` when the pool is
         closing, draining, or at ``max_pending``; :class:`PoisonedJobError`
-        when the job's content fingerprint is quarantined.  On an
-        unhealthy pool the returned ticket is already finished ``lost``.
+        when the job's content fingerprint is quarantined.  The job body is
+        pickled here, in the caller's thread, and every dispatch reuses the
+        bytes: a payload that does not pickle returns a ticket already
+        finished ``failed`` (permanent).  On an unhealthy pool the returned
+        ticket is already finished ``lost``.
         """
         if kind not in JOB_KINDS:
             raise ValueError(f"unknown job kind {kind!r}")
@@ -427,11 +429,14 @@ class ShardPool:
             fingerprint = content_key("shard-job", kind, _freeze(payload))
         except TypeError:
             fingerprint = None  # unhashable content: not quarantinable
+        try:
+            frame, error = dumps((kind, payload, trace)), None
+        except Exception as exc:  # e.g. a lambda or a local function
+            frame, error = None, exc
         now = time.monotonic()
         with self._cond:
             if self._closed or self._draining:
-                self._shed += 1
-                _M_POOL_EVENTS.inc(event="shed")
+                self._count("shed")
                 raise RejectedError("shard pool is not accepting submissions")
             if fingerprint is not None and fingerprint in self._quarantine:
                 raise PoisonedJobError(
@@ -440,20 +445,21 @@ class ShardPool:
                     kills=self._poison_threshold,
                 )
             if len(self._jobs) >= self._max_pending:
-                self._shed += 1
-                _M_POOL_EVENTS.inc(event="shed")
+                self._count("shed")
                 raise RejectedError(
                     f"admission queue full ({self._max_pending} jobs pending)"
                 )
             job = ShardJob(
-                self._next_job_id, kind, payload,
-                fingerprint,
+                self._next_job_id, kind, frame, fingerprint,
                 None if deadline_s is None else now + deadline_s,
-                retry_budget, now, trace,
+                retry_budget, now,
             )
             self._next_job_id += 1
-            self._submitted += 1
-            _M_POOL_EVENTS.inc(event="submitted")
+            self._count("submitted")
+            if frame is None:
+                self._finish(job, "failed", error=error,
+                             error_kind="permanent")
+                return job
             if self._unhealthy:
                 # No worker will ever run it: finish it lost right away,
                 # like the jobs outstanding when the pool died.
@@ -519,12 +525,6 @@ class ShardPool:
                 _reap(self._all_procs)
                 supervisor.join(timeout=5.0)
         _reap(self._all_procs)
-        for q in [self._result_q, *self._all_job_qs]:
-            try:
-                q.close()
-                q.cancel_join_thread()
-            except Exception:
-                pass
         self._finalizer.detach()
 
     # -- introspection -----------------------------------------------------
@@ -538,6 +538,7 @@ class ShardPool:
     def stats(self) -> dict[str, Any]:
         """Counter snapshot (shape consumed by ``Engine.health()``)."""
         with self._cond:
+            events = self._events
             return {
                 "shards": self._shards,
                 "workers_alive": sum(
@@ -547,15 +548,15 @@ class ShardPool:
                 "inflight": sum(
                     1 for w in self._workers if w.current is not None
                 ),
-                "submitted": self._submitted,
-                "completed": self._completed,
-                "shed": self._shed,
-                "respawns": self._respawns,
-                "crashes": self._crashes,
-                "hangs": self._hangs,
-                "injected_kills": self._injected_kills,
-                "quarantined": self._quarantined,
-                "retries": self._retries,
+                "submitted": events["submitted"],
+                "completed": events["completed"],
+                "shed": events["shed"],
+                "respawns": events["respawn"],
+                "crashes": events["crash"],
+                "hangs": events["hang"],
+                "injected_kills": events["injected_kill"],
+                "quarantined": events["quarantined"],
+                "retries": events["retry"],
                 "unhealthy": self._unhealthy,
                 "closed": self._closed,
                 "backend": self._backend_name,
@@ -564,119 +565,105 @@ class ShardPool:
             }
 
     # -- supervisor --------------------------------------------------------
+    def _count(self, event: str) -> None:
+        """Count one pool event in ``stats()`` and its metric mirror."""
+        self._events[event] += 1
+        _M_POOL_EVENTS.inc(event=event)
+
     def _kick(self) -> None:
         """Wake the supervisor immediately (new work / state change)."""
         try:
-            self._result_q.put_nowait(("kick",))
-        except Exception:
-            pass  # queue full or closed: the periodic tick covers it
+            self._wake_w.write(b"\0")  # a full pipe: a wake-up is pending
+        except (OSError, ValueError):
+            pass  # closed: the supervisor has exited
 
     def _supervise(self) -> None:
+        # Imported here: workloads that never start a pool skip its cost.
+        from multiprocessing.connection import wait
+
         while True:
-            try:
-                msg = self._result_q.get(timeout=self._tick)
-            except queue_mod.Empty:
-                msg = None
-            except (OSError, ValueError, EOFError):
-                msg = None
             with self._cond:
-                while True:
-                    if msg is not None and msg[0] != "kick":
-                        self._handle(msg)
-                    try:
-                        msg = self._result_q.get_nowait()
-                    except (queue_mod.Empty, OSError, ValueError, EOFError):
-                        break
+                pipes = {w.conn: w for w in self._workers if not w.conn.closed}
+                sentinels = [w.proc.sentinel for w in self._workers]
+            ready = wait([self._wake_r, *pipes, *sentinels], self._tick)
+            if self._wake_r in ready:
+                self._wake_r.read(4096)
+            # Receive outside the lock, so submitters never wait on a large
+            # result; only this thread touches the pipes and ``current``.
+            inbox = [(pipes[c], self._receive(pipes[c]))
+                     for c in ready if c in pipes]
+            with self._cond:
                 now = time.monotonic()
+                for w, msg in inbox:
+                    if msg is not None:
+                        self._handle(w, msg, now)
                 self._scan(now)
                 self._dispatch(now)
                 self._publish_gauges(now)
                 if self._closed:
                     for w in self._workers:
                         if w.current is None and not w.stopping:
-                            try:
-                                w.job_q.put_nowait(("stop",))
-                            except Exception:
-                                pass
                             w.stopping = True
+                            try:
+                                w.conn.send_bytes(b"")  # stop
+                            except OSError:
+                                pass  # already dead: the scan reaps it
                     if not self._workers:
+                        self._wake_r.close()
+                        self._wake_w.close()
                         return
 
-    def _handle(self, msg: tuple) -> None:
+    @staticmethod
+    def _receive(w: _Worker) -> tuple | None:
+        """One message off ``w``'s pipe, or ``None`` once it reads EOF.
+
+        A message that fails to unpickle becomes a permanent ``err`` for
+        the job ``w`` is running.
+        """
+        try:
+            frame = w.conn.recv_bytes()
+        except (EOFError, OSError):
+            # Drop the pipe from the wait set; the sentinel reports the death.
+            w.conn.close()
+            return None
+        try:
+            return pickle.loads(frame)
+        except Exception as exc:
+            job_id = None if w.current is None else w.current.id
+            return (MSG_ERR, job_id, "permanent", RemoteJobError(
+                type(exc).__name__,
+                f"result of job {job_id} failed to unpickle: {exc}",
+            ))
+
+    def _handle(self, w: _Worker, msg: tuple, now: float) -> None:
+        w.last_hb = now  # any message shows the worker alive
         tag = msg[0]
-        now = time.monotonic()
-        if tag == MSG_HB:
-            w = self._by_wid.get(msg[1])
-            if w is not None:
-                w.last_hb = now
-            return
         if tag == MSG_READY:
-            w = self._by_wid.get(msg[1])
-            if w is not None:
-                w.ready = True
-                w.last_hb = now
+            w.ready = True
+        if tag in (MSG_READY, MSG_HB):
+            return
+        job, w.current = w.current, None
+        if job is None:
             return
         if tag == MSG_DONE:
-            _tag, wid, job_id, blob = msg
-            self._job_returned(wid, job_id, now)
-            job = self._jobs.get(job_id)
-            if job is None or job.status is not None:
-                return  # stale duplicate from a presumed-dead worker
-            try:
-                value, remote_span = pickle.loads(blob)
-            except Exception as exc:
-                self._finish(job, "failed", error=RemoteJobError(
-                    type(exc).__name__,
-                    f"result of job {job_id} failed to unpickle: {exc}",
-                ), error_kind="permanent")
-            else:
-                job.remote_span = remote_span
-                self._finish(job, "ok", value=value)
+            job.remote_span = msg[3]
+            self._finish(job, "ok", value=msg[2])
             return
-        if tag == MSG_ERR:
-            _tag, wid, job_id, kind, enc = msg
-            self._job_returned(wid, job_id, now)
-            job = self._jobs.get(job_id)
-            if job is None or job.status is not None:
-                return
-            if (kind == "transient" and job.retries < job.retry_budget
-                    and not self._closed):
-                job.retries += 1
-                self._retries += 1
-                _M_POOL_EVENTS.inc(event="retry")
-                job.kills = 0  # the worker survived: kills are not consecutive
-                job.enqueued_at = now
-                self._pending.appendleft(job)
-                return
-            error = self._decode_error(enc, kind)
-            self._finish(
-                job, "timeout" if kind == "timeout" else "failed",
-                error=error, error_kind=kind,
-            )
-
-    def _job_returned(self, wid: int, job_id: int, now: float) -> None:
-        """Bookkeeping common to done/err: the worker is idle again."""
-        w = self._by_wid.get(wid)
-        if w is not None:
-            w.last_hb = now
-            if w.current is not None and w.current.id == job_id:
-                w.current = None
-
-    @staticmethod
-    def _decode_error(enc: tuple, kind: str) -> BaseException:
-        scheme, data = enc
-        if scheme == "pickle":
-            try:
-                return pickle.loads(data)
-            except Exception:
-                pass
-        if scheme == "repr" or scheme == "pickle":
-            try:
-                type_name, message = data if scheme == "repr" else ("?", "?")
-            except Exception:
-                type_name, message = "?", "?"
-            return RemoteJobError(type_name, message, kind)
-        return RemoteJobError("?", "undecodable worker error", kind)
+        _tag, _job_id, kind, error = msg
+        if (kind == "transient" and job.retries < job.retry_budget
+                and not self._closed):
+            job.retries += 1
+            self._count("retry")
+            job.kills = 0  # the worker survived: kills are not consecutive
+            job.enqueued_at = now
+            self._pending.appendleft(job)
+            return
+        if isinstance(error, tuple):  # (type name, message)
+            error = RemoteJobError(*error, kind)
+        self._finish(
+            job, "timeout" if kind == "timeout" else "failed",
+            error=error, error_kind=kind,
+        )
 
     def _scan(self, now: float) -> None:
         for w in list(self._workers):
@@ -699,9 +686,8 @@ class ShardPool:
                 self._on_death(w, "hang", injected=False, now=now)
 
     def _remove(self, w: _Worker) -> None:
-        if w in self._workers:
-            self._workers.remove(w)
-        self._by_wid.pop(w.wid, None)
+        self._workers.remove(w)
+        w.conn.close()
 
     @staticmethod
     def _kill(w: _Worker) -> None:
@@ -713,15 +699,9 @@ class ShardPool:
 
     def _on_death(self, w: _Worker, reason: str, injected: bool,
                   now: float) -> None:
-        if reason == "crash":
-            self._crashes += 1
-            _M_POOL_EVENTS.inc(event="crash")
-        else:
-            self._hangs += 1
-            _M_POOL_EVENTS.inc(event="hang")
+        self._count(reason)
         if injected:
-            self._injected_kills += 1
-            _M_POOL_EVENTS.inc(event="injected_kill")
+            self._count("injected_kill")
         job = w.current
         w.current = None
         if job is not None and job.status is None:
@@ -732,8 +712,7 @@ class ShardPool:
                 if job.kills >= self._poison_threshold:
                     if job.fingerprint is not None:
                         self._quarantine.add(job.fingerprint)
-                    self._quarantined += 1
-                    _M_POOL_EVENTS.inc(event="quarantined")
+                    self._count("quarantined")
                     self._finish(job, "failed", error=PoisonedJobError(
                         f"job {job.id} killed {job.kills} consecutive "
                         "workers; quarantined", kills=job.kills,
@@ -745,13 +724,12 @@ class ShardPool:
                     ), error_kind="transient")
                 else:
                     job.enqueued_at = now
-                    _M_POOL_EVENTS.inc(event="redispatch")
+                    self._count("redispatch")
                     self._pending.appendleft(job)
         if self._closed:
             return
-        if self._respawns < self._respawn_budget:
-            self._respawns += 1
-            _M_POOL_EVENTS.inc(event="respawn")
+        if self._events["respawn"] < self._respawn_budget:
+            self._count("respawn")
             self._spawn(now)
         elif not self._workers:
             # Budget exhausted and nobody left: fail everything as lost
@@ -787,18 +765,15 @@ class ShardPool:
                 continue
             job = self._pending.popleft()
             remaining = (
-                None if job.deadline_at is None
+                math.nan if job.deadline_at is None
                 else max(0.001, job.deadline_at - now)
             )
             job.attempts += 1
             job.worker = w.wid
             w.current = job
             try:
-                w.job_q.put_nowait(
-                    ("job", job.id, job.kind, job.payload, remaining,
-                     job.trace)
-                )
-            except Exception:
+                w.conn.send_bytes(JOB_HEAD.pack(job.id, remaining) + job.frame)
+            except OSError:
                 # Broken pipe to a dying worker: undo; the scan reaps it.
                 w.current = None
                 job.attempts -= 1
@@ -824,7 +799,7 @@ class ShardPool:
     def _spawn(self, now: float) -> None:
         wid = self._next_wid
         self._next_wid += 1
-        job_q = self._ctx.Queue()
+        conn, child_conn = self._ctx.Pipe()
         config = WorkerConfig(
             backend=self._backend_name,
             heartbeat_s=self._heartbeat_s,
@@ -834,20 +809,22 @@ class ShardPool:
         )
         proc = self._ctx.Process(
             target=worker_main,
-            args=(wid, job_q, self._result_q, config),
+            args=(wid, child_conn, config),
             name=f"repro-shard-{wid}",
             daemon=True,
         )
         try:
             proc.start()
         except Exception:
+            conn.close()
             self._unhealthy = True
             return
-        worker = _Worker(wid, proc, job_q, now)
-        self._workers.append(worker)
-        self._by_wid[wid] = worker
+        finally:
+            # The worker now holds the only copy of its end: its death
+            # reads as EOF here.
+            child_conn.close()
+        self._workers.append(_Worker(wid, proc, conn, now))
         self._all_procs.append(proc)
-        self._all_job_qs.append(job_q)
 
     def _finish(self, job: ShardJob, status: str, value: Any = None,
                 error: BaseException | None = None,
@@ -857,9 +834,9 @@ class ShardPool:
         job.error = error
         job.error_kind = error_kind
         job.latency_s = time.monotonic() - job.created_at
+        job.frame = None  # terminal: no dispatch will send it again
         self._jobs.pop(job.id, None)
-        self._completed += 1
-        _M_POOL_EVENTS.inc(event="completed")
+        self._count("completed")
         _M_POOL_JOBS.inc(status=status)
         job.event.set()
         self._cond.notify_all()

@@ -23,39 +23,51 @@ the only faults a worker sees are the explicit
 
 Protocol
 --------
-The worker receives ``("job", job_id, kind, payload, deadline_s, trace)``
-/ ``("stop",)`` tuples on its private job queue (``trace`` is the
-caller's ``(trace_id, parent_span_id)`` pair, or ``None``) and emits on
-the shared result queue:
+Each worker owns one duplex :func:`multiprocessing.Pipe`; the pipe
+itself identifies the worker, so no message carries a worker id.  Every
+message is one ``send_bytes`` frame, pickled once by its sender.
 
-* ``("ready", worker_id, pid)`` -- bootstrap (including optional backend
-  warmup and any injected slow start) finished; dispatch may begin.
-* ``("hb", worker_id, seq)`` -- heartbeat, every ``heartbeat_s``, from a
-  dedicated daemon thread so long-running kernels never look hung.
-* ``("done", worker_id, job_id, blob)`` -- pickled ``(value, span)``
-  pair; ``span`` is the worker-side trace-span tree as plain data
-  (:meth:`repro.obs.Span.to_dict`), or ``None`` when observability is
-  off.  The parent stitches it under the request span it created at
-  submit time -- span ids cross the process boundary via the envelope.
-* ``("err", worker_id, job_id, kind, enc)`` -- the job raised; ``kind`` is
-  the :func:`~repro.engine.resilience.classify` bucket computed in-child
-  and ``enc`` an exception encoding that survives unpicklable errors.
+Parent to worker: a job frame is ``JOB_HEAD`` (job id and the remaining
+deadline in seconds, NaN for none) followed by the pickled ``(kind,
+payload, trace)`` triple; the parent pickles that triple once, at
+submit, and re-dispatches reuse the bytes.  ``trace`` is the caller's
+``(trace_id, parent_span_id)`` pair, or ``None``.  An empty frame means
+stop.
 
-Values and errors are pre-pickled *in the worker* so a value that cannot
-be pickled surfaces as a classified per-job error instead of dying inside
-the queue's feeder thread (which would look like a lost worker).
+Worker to parent, each a pickled tuple:
+
+* ``("ready",)`` -- bootstrap (including optional backend warmup and
+  any injected slow start) finished; dispatch may begin.
+* ``("hb",)`` -- heartbeat, every ``heartbeat_s``, from a dedicated
+  daemon thread so long-running kernels never look hung.  The thread and
+  the job loop share the pipe under one lock.
+* ``("done", job_id, value, span)`` -- ``span`` is the worker-side
+  trace-span tree as plain data (:meth:`repro.obs.Span.to_dict`), or
+  ``None`` when observability is off.  The parent stitches it under the
+  request span it created at submit time -- span ids cross the process
+  boundary via the envelope.
+* ``("err", job_id, kind, error)`` -- the job raised; ``kind`` is the
+  :func:`~repro.engine.resilience.classify` bucket computed in-child and
+  ``error`` the exception, or its ``(type name, message)`` pair when it
+  does not survive a pickle round trip.
+
+Results are pickled in the worker's job loop, so a value that cannot be
+pickled surfaces as a classified per-job error, never as a lost worker.
 
 Injected faults (the ``worker`` seam) act on reception, before execution:
 a crash is ``os._exit(CRASH_EXITCODE)`` -- the distinctive exit code lets
 the supervisor tell injected kills from real ones -- and a hang stops the
 heartbeat thread and sleeps, which is exactly what a wedged worker looks
-like from the parent.
+like from the parent.  A dead worker closes only its own pipe, so no
+other worker's traffic depends on how it died.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
+import struct
 import threading
 import time
 from dataclasses import dataclass
@@ -80,6 +92,14 @@ MSG_READY = "ready"
 MSG_HB = "hb"
 MSG_DONE = "done"
 MSG_ERR = "err"
+
+#: Head of a job frame: job id, remaining deadline in seconds (NaN: none).
+JOB_HEAD = struct.Struct("<qd")
+
+
+def dumps(obj: Any) -> bytes:
+    """Pickle one pipe message (both directions use this)."""
+    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 @dataclass(frozen=True)
@@ -170,17 +190,17 @@ JOB_KINDS = {
 }
 
 
-def _encode_error(exc: BaseException) -> tuple:
-    """Encode ``exc`` for the result queue, surviving unpicklable errors."""
+def _error_frame(job_id: int, kind: str, exc: BaseException) -> bytes:
+    """The ``err`` frame for ``exc``, surviving unpicklable errors."""
     try:
-        blob = pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
-        pickle.loads(blob)  # some exceptions pickle but refuse to unpickle
-        return ("pickle", blob)
+        frame = dumps((MSG_ERR, job_id, kind, exc))
+        pickle.loads(frame)  # some exceptions pickle but refuse to unpickle
+        return frame
     except Exception:
-        return ("repr", (type(exc).__name__, str(exc)))
+        return dumps((MSG_ERR, job_id, kind, (type(exc).__name__, str(exc))))
 
 
-def worker_main(worker_id: int, job_q, result_q, config: WorkerConfig) -> None:
+def worker_main(worker_id: int, conn, config: WorkerConfig) -> None:
     """Entry point of one shard-worker process (see the module docstring)."""
     reset_inherited_context(config.backend)
     faults = config.faults
@@ -197,18 +217,23 @@ def worker_main(worker_id: int, job_q, result_q, config: WorkerConfig) -> None:
     if config.warm and hasattr(backend, "warmup"):
         backend.warmup()
 
+    send_lock = threading.Lock()
+
+    def send(frame: bytes) -> None:
+        with send_lock:
+            conn.send_bytes(frame)
+
     stop_heartbeat = threading.Event()
 
     def _beat() -> None:
-        seq = 0
+        frame = dumps((MSG_HB,))
         while not stop_heartbeat.wait(config.heartbeat_s):
-            seq += 1
             try:
-                result_q.put((MSG_HB, worker_id, seq))
-            except Exception:  # queue torn down: parent is gone
+                send(frame)
+            except OSError:  # pipe torn down: parent is gone
                 return
 
-    result_q.put((MSG_READY, worker_id, os.getpid()))
+    send(dumps((MSG_READY,)))
     heartbeat = threading.Thread(
         target=_beat, name=f"shard-{worker_id}-hb", daemon=True
     )
@@ -217,50 +242,37 @@ def worker_main(worker_id: int, job_q, result_q, config: WorkerConfig) -> None:
     draw = 0
     try:
         while True:
-            message = job_q.get()
-            if message[0] == "stop":
+            frame = conn.recv_bytes()
+            if not frame:  # stop
                 return
-            _tag, job_id, kind, payload, deadline_s, trace = message
+            job_id, deadline_s = JOB_HEAD.unpack_from(frame)
             if faults is not None:
                 action = faults.decide(worker_id, draw)
                 draw += 1
                 if job_id in faults.poison_job_ids or action == "crash":
-                    # Flush the result queue first: dying while its feeder
-                    # thread holds the queue's cross-process write lock
-                    # would block every other worker's sends for good.
-                    stop_heartbeat.set()
-                    heartbeat.join()
-                    result_q.close()
-                    result_q.join_thread()
                     os._exit(CRASH_EXITCODE)
                 if action == "hang":
                     stop_heartbeat.set()
                     time.sleep(_HANG_SLEEP_S)
             deadline = (
-                None if deadline_s is None
+                None if math.isnan(deadline_s)
                 else time.perf_counter() + deadline_s
             )
             try:
+                kind, payload, trace = pickle.loads(
+                    memoryview(frame)[JOB_HEAD.size:]
+                )
                 with obs_span(
                     f"shard:{kind}", trace=trace, record=False,
                     worker=worker_id, pid=os.getpid(),
                 ) as jsp:
                     with deadline_scope(deadline):
                         value = JOB_KINDS[kind](payload)
-                blob = pickle.dumps(
-                    (value, jsp.to_dict() if jsp else None),
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-            except TimeoutError as exc:
-                result_q.put(
-                    (MSG_ERR, worker_id, job_id, "timeout", _encode_error(exc))
+                reply = dumps(
+                    (MSG_DONE, job_id, value, jsp.to_dict() if jsp else None)
                 )
             except BaseException as exc:  # noqa: BLE001 - full job isolation
-                result_q.put(
-                    (MSG_ERR, worker_id, job_id, classify(exc),
-                     _encode_error(exc))
-                )
-            else:
-                result_q.put((MSG_DONE, worker_id, job_id, blob))
+                reply = _error_frame(job_id, classify(exc), exc)
+            send(reply)
     finally:
         stop_heartbeat.set()

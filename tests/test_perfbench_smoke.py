@@ -77,4 +77,15 @@ def test_rejects_zeroed_plan_timing_layers():
         assert smoke.check("hdbscan", 1, bad, SPEC) == [f"{layer} is not > 0"]
         want = [f"{layer} is not > 0"] if layer in pandora_layers else []
         assert smoke.check("dendrogram", 1, bad, SPEC) == want
-        assert smoke.check("serve", 1, bad, SPEC) == []
+        assert smoke.check("serve", 1, bad, SPEC) == want
+
+
+def test_rejects_a_zeroed_serve_shard_layer():
+    """``serve.shard_ms`` comes from the span each shard worker ships back
+    with its result: a zero there means the transport dropped it."""
+    smoke = _load()
+    bad = _result(1)
+    bad["metrics"]["serve.shard_ms"]["value"] = 0.0
+    assert smoke.check("serve", 1, bad, SPEC) == ["serve.shard_ms is not > 0"]
+    assert smoke.check("dendrogram", 1, bad, SPEC) == []
+    assert smoke.check("serve", 0, _result(0), SPEC) == []

@@ -9,6 +9,10 @@ leaks a worker process -- graceful shutdown is part of the contract.
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
+import pickle
+import signal
+import threading
 import time
 
 import numpy as np
@@ -59,6 +63,60 @@ def _echo(x):
 def _sleepy(seconds):
     time.sleep(seconds)
     return seconds
+
+
+def _bounded(fn, timeout):
+    """``fn()`` run in a daemon thread: its value, its exception, or a test
+    failure after ``timeout`` seconds -- never a hung suite."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = fn()
+        except BaseException as exc:  # re-raised in the test's thread
+            out["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    if thread.is_alive():
+        pytest.fail(f"{fn} still running after {timeout}s")
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+def _kill_mid_write(nbytes):
+    """Make this worker's next large pipe write send half its bytes and
+    then SIGKILL the worker; returns ``nbytes`` of data, so that write is
+    this job's own result."""
+    from multiprocessing.connection import Connection
+
+    send = Connection._send
+
+    def half_then_die(self, buf, *args):
+        if len(buf) >= nbytes:
+            send(self, memoryview(buf)[: len(buf) // 2], *args)
+            os.kill(os.getpid(), signal.SIGKILL)
+        send(self, buf, *args)
+
+    Connection._send = half_then_die
+    return bytes(nbytes)
+
+
+def _refuse_to_load():
+    raise RuntimeError("refuses to unpickle")
+
+
+class _LoadsBadly:
+    """Pickles in the worker, raises when the parent unpickles it."""
+
+    def __reduce__(self):
+        return (_refuse_to_load, ())
+
+
+def _make_unloadable(_):
+    return _LoadsBadly()
 
 
 def _crash_seed(p_crash: float) -> int:
@@ -175,6 +233,59 @@ class TestShardPoolBasics:
             pool.shutdown()
         assert pool.stats()["shed"] == 1
 
+    def test_unpicklable_payload_fails_at_submit(self):
+        # The caller's thread pickles the job body at submit: a lambda
+        # fails there, permanently, and never reaches a worker.
+        pool = ShardPool(1, backend="numpy", **FAST)
+        try:
+            job = pool.result(
+                pool.submit("call", (lambda x: x + 1, 1)), timeout=10.0
+            )
+            assert job.status == "failed"
+            assert job.error_kind == "permanent"
+            assert classify(job.error) == "permanent"
+            stats = pool.stats()
+            assert stats["inflight"] == stats["queue_depth"] == 0
+            later = pool.result(pool.submit("call", (_echo, 5)), timeout=60.0)
+            assert later.ok and later.value == 5
+            assert pool.stats()["crashes"] == 0
+        finally:
+            _bounded(pool.shutdown, 15.0)
+
+    def test_heartbeats_and_results_share_each_pipe(self):
+        # Millisecond heartbeats race every result for its worker's pipe,
+        # on more workers than cores.  Results up to 1 MiB overflow the
+        # pipe buffer, so their writes block partway and a heartbeat
+        # written without the worker's send lock lands inside them: a torn
+        # frame fails a job or stalls its pipe.
+        pool = ShardPool(4, backend="numpy", heartbeat_s=0.001,
+                         hang_after_s=5.0, boot_timeout_s=60.0)
+        sizes = [(i % 8) * 131_072 + i for i in range(48)]
+        try:
+            tickets = [pool.submit("call", (_echo, bytes(n))) for n in sizes]
+            for n, t in zip(sizes, tickets):
+                job = pool.result(t, timeout=30.0)
+                assert job.ok and len(job.value) == n, (job.status, job.error)
+        finally:
+            _bounded(pool.shutdown, 15.0)
+        stats = pool.stats()
+        assert stats["crashes"] == stats["hangs"] == 0
+
+    def test_result_that_fails_to_unpickle_fails_its_job(self):
+        pool = ShardPool(1, backend="numpy", **FAST)
+        try:
+            job = pool.result(
+                pool.submit("call", (_make_unloadable, None)), timeout=60.0
+            )
+            assert job.status == "failed"
+            assert isinstance(job.error, RemoteJobError)
+            assert job.error_kind == "permanent"
+            later = pool.result(pool.submit("call", (_echo, 6)), timeout=60.0)
+            assert later.ok and later.value == 6
+        finally:
+            pool.shutdown()
+        assert pool.stats()["crashes"] == 0
+
 
 def _raise_memory_once_key(key):
     """Raises MemoryError on the first call per worker process, then
@@ -241,6 +352,28 @@ class TestSupervision:
         assert stats["quarantined"] == 1
         assert stats["crashes"] == 2
         assert not stats["unhealthy"]
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGKILL"),
+                        reason="needs POSIX signals")
+    def test_sigkill_mid_result_write_is_a_crash(self):
+        # A real kill in the middle of a 4 MB result write: the half-sent
+        # message must read as the worker's death, not stall the
+        # supervisor, and the pool must keep serving.
+        boot = 20.0
+        pool = ShardPool(1, backend="numpy", max_dispatch=1,
+                         heartbeat_s=0.02, hang_after_s=0.6,
+                         boot_timeout_s=boot)
+        try:
+            job = pool.result(
+                pool.submit("call", (_kill_mid_write, 4 << 20)), timeout=boot
+            )
+            assert job.status == "failed"
+            assert isinstance(job.error, WorkerCrashError)
+            assert pool.stats()["crashes"] == 1
+            later = pool.result(pool.submit("call", (_echo, 7)), timeout=boot)
+            assert later.ok and later.value == 7
+        finally:
+            _bounded(pool.shutdown, 15.0)
 
     def test_hung_worker_detected_and_job_bounded(self):
         # Every reception hangs: heartbeats stop, the supervisor kills the
@@ -571,6 +704,23 @@ class TestEngineProcessExecutor:
         finally:
             eng.shutdown()
 
+    def test_unpicklable_fn_fails_permanently(self):
+        eng = Engine(executor="process", shards=1,
+                     pool_options=dict(backend="numpy", **FAST))
+        try:
+            with pytest.raises((pickle.PicklingError, AttributeError,
+                                TypeError)):
+                _bounded(lambda: eng.map(lambda x: x + 1, [1, 2]), 20.0)
+            [result] = _bounded(
+                lambda: eng.map(lambda x: x + 1, [1], policy=ServePolicy()),
+                20.0,
+            )
+            assert result.status == "failed"
+            assert result.error_kind == "permanent"
+            assert _bounded(lambda: eng.map(_echo, [3]), 60.0) == [3]
+        finally:
+            _bounded(eng.shutdown, 15.0)
+
     def test_no_policy_batch_records_no_health(self, rng):
         probs = _problems(rng, n_jobs=3)
         eng = Engine(executor="process", shards=1,
@@ -589,6 +739,54 @@ class TestEngineProcessExecutor:
         assert health["shed"] == 0
         assert health["degraded"] == 0
         assert health["pool"] is None
+
+
+# ---------------------------------------------------------------------------
+# The spawn start method: the worker's pipe end crosses Process args
+# ---------------------------------------------------------------------------
+
+
+class TestSpawnStartMethod:
+    def test_round_trip_bit_identical(self, rng):
+        probs = _problems(rng)
+        baseline = Engine().fit_many(probs)
+        pool = ShardPool(2, backend="numpy", start_method="spawn", **FAST)
+        try:
+            tickets = [pool.submit("fit", _fit_payload(p)) for p in probs]
+            for base, t in zip(baseline, tickets):
+                job = pool.result(t, timeout=60.0)
+                assert job.ok, (job.status, job.error)
+                assert np.array_equal(job.value.parent, base.parent)
+        finally:
+            pool.shutdown()
+        stats = pool.stats()
+        assert stats["start_method"] == "spawn"
+        assert stats["completed"] == len(probs)
+
+    def test_injected_crash_respawns(self, rng):
+        # Job 0 kills every worker it reaches, whichever shard boots
+        # first: two injected kills quarantine it, and both respawned
+        # workers keep serving.
+        probs = _problems(rng, n_jobs=2)
+        baseline = Engine().fit(*probs[1])
+        pool = ShardPool(2, backend="numpy", start_method="spawn",
+                         worker_faults=WorkerFaults(poison_job_ids=(0,)),
+                         poison_threshold=2, respawn_budget=4, **FAST)
+        try:
+            poison = pool.result(
+                pool.submit("fit", _fit_payload(probs[0])), timeout=60.0
+            )
+            assert isinstance(poison.error, PoisonedJobError)
+            job = pool.result(
+                pool.submit("fit", _fit_payload(probs[1])), timeout=60.0
+            )
+            assert job.ok, (job.status, job.error)
+            assert np.array_equal(job.value.parent, baseline.parent)
+        finally:
+            pool.shutdown()
+        stats = pool.stats()
+        assert stats["crashes"] == stats["injected_kills"] == 2
+        assert stats["respawns"] == 2
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,11 @@ last output line, the JSON result:
   ``pandora.sort_ms``, ``pandora.contraction_ms`` and
   ``pandora.expansion_ms`` above zero -- those come from
   ``PandoraStats.phase_detail``, the library's plan timings, which a break
-  in the plan's timing path would zero silently.
+  in the plan's timing path would zero silently;
+* the traced ``serve`` run reports ``serve.shard_ms`` and the same three
+  PANDORA layers above zero -- both come from the span each shard worker
+  ships back with its result, so a transport that stopped shipping it
+  would otherwise move shard time into ``serve.transport_ms`` silently.
 
 Usage (from the repository root)::
 
@@ -41,6 +45,7 @@ NONZERO_LAYERS = {
     "hdbscan": ("knn.query_ms", "emst.leaf_pairs_ms", "emst.traverse_ms",
                 "extract.condense_ms", *_PANDORA_LAYERS),
     "dendrogram": _PANDORA_LAYERS,
+    "serve": ("serve.shard_ms", *_PANDORA_LAYERS),
 }
 
 
