@@ -132,11 +132,14 @@ class DendrogramHandle:
         ascending order and the connected-components state is carried
         between them, so each additional cut costs only the *newly* merged
         edges plus one relabeling -- the naive loop rescans every edge
-        below each threshold.
+        below each threshold.  A NaN threshold raises ``ValueError``, as
+        :meth:`cut` does.
         """
         dend = self.dendrogram
         nv = dend.n_vertices
         thresholds = np.asarray(list(thresholds), dtype=np.float64)
+        if np.isnan(thresholds).any():
+            raise ValueError("cut thresholds must not be NaN")
         out = np.empty((thresholds.size, nv), dtype=np.int64)
         if thresholds.size == 0:
             return out

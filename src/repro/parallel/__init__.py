@@ -60,22 +60,12 @@ from .workspace import (
 from .primitives import (
     argsort,
     argsort_bounded,
-    compact,
     exclusive_scan,
-    gather,
-    inclusive_scan,
     lexsort,
-    parallel_map,
-    reduce_max,
-    reduce_min,
-    reduce_sum,
     scatter,
-    scatter_max_ordered,
     scatter_min_at,
     segmented_first,
     sort,
-    sort_by_key,
-    unique_labels,
 )
 from .sortlib import (
     RADIX_MIN_N,
@@ -87,7 +77,7 @@ from .sortlib import (
     stable_argsort_bounded,
     stable_argsort_unsigned,
 )
-from .unionfind import ArrayUnionFind, UnionFind
+from .unionfind import UnionFind
 
 __all__ = [
     # backends
@@ -115,27 +105,16 @@ __all__ = [
     "GPU_A100",
     "DEVICES",
     # primitives
-    "parallel_map",
-    "reduce_sum",
-    "reduce_max",
-    "reduce_min",
-    "inclusive_scan",
     "exclusive_scan",
     "sort",
     "argsort",
     "argsort_bounded",
     "lexsort",
-    "sort_by_key",
-    "gather",
     "scatter",
-    "scatter_max_ordered",
     "scatter_min_at",
-    "compact",
     "segmented_first",
-    "unique_labels",
     # union-find / cc
     "UnionFind",
-    "ArrayUnionFind",
     "connected_components",
     "list_rank",
     "list_order",

@@ -202,22 +202,6 @@ class NumpyBackend:
         self._emit(name, "map", work)
         return out
 
-    def reduce_sum(self, a, name: str | None = "reduce_sum"):
-        self._emit(name, "reduce", a.size)
-        return a.sum()
-
-    def reduce_max(self, a, name: str | None = "reduce_max"):
-        self._emit(name, "reduce", a.size)
-        return a.max()
-
-    def reduce_min(self, a, name: str | None = "reduce_min"):
-        self._emit(name, "reduce", a.size)
-        return a.min()
-
-    def inclusive_scan(self, a, name: str | None = "scan") -> np.ndarray:
-        self._emit(name, "scan", a.size)
-        return np.cumsum(a)
-
     def exclusive_scan(self, a, name: str | None = "scan", dtype=None) -> np.ndarray:
         self._emit(name, "scan", a.size)
         if dtype is None:
@@ -242,11 +226,6 @@ class NumpyBackend:
             raise ValueError("lexsort requires at least one key")
         self._emit(name, "sort", keys[0].size)
         return np.lexsort(keys)
-
-    def sort_by_key(self, keys, values, name: str | None = "sort_by_key"):
-        order = np.argsort(keys, kind="stable")
-        self._emit(name, "sort", keys.size)
-        return keys[order], values[order]
 
     def canonical_sort_order(
         self, weights, ids, name: str | None = "edges.sort_desc"
@@ -314,17 +293,6 @@ class NumpyBackend:
         target[idx] = values
         return target
 
-    def scatter_max_ordered(
-        self, target, idx, values, name: str | None = "scatter_max",
-        assume_ordered: bool = True,
-    ):
-        self._emit(name, "scatter", int(np.size(idx)))
-        if assume_ordered:
-            target[idx] = values
-        else:
-            np.maximum.at(target, idx, values)
-        return target
-
     def scatter_max_pairs(self, out, u, v, idx, name: str | None = "scatter_max"):
         """maxIncident kernel: ``out[u[i]] = out[v[i]] = idx[i]`` in order.
 
@@ -369,12 +337,6 @@ class NumpyBackend:
             emit(name + ".gather", "gather", int(mask.sum()))
         return a[mask]
 
-    def compress_into(self, mask, a, out, name: str | None = None) -> np.ndarray:
-        """Stream-compact ``a[mask]`` into a preallocated buffer."""
-        self._emit(name, "gather", int(np.size(out)))
-        np.compress(mask, a, out=out)
-        return out
-
     def segmented_first(self, sorted_keys, name: str | None = "segmented_first"):
         self._emit(name, "map", sorted_keys.size)
         if sorted_keys.size == 0:
@@ -383,15 +345,6 @@ class NumpyBackend:
         head[0] = True
         np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=head[1:])
         return head
-
-    def unique_labels(self, labels, name: str | None = "relabel"):
-        self._emit(name, "sort", labels.size)
-        uniq, inv = np.unique(labels, return_inverse=True)
-        if name is not None:
-            emit(name + ".scan", "scan", labels.size)
-        out_dtype = (labels.dtype if np.issubdtype(labels.dtype, np.integer)
-                     else np.int64)
-        return inv.astype(out_dtype, copy=False), int(uniq.size)
 
     # -- fused hot-path kernels --------------------------------------------
     def resolve_pointer_forest(self, pointer, name: str = "cc.jump") -> np.ndarray:

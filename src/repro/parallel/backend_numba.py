@@ -13,9 +13,8 @@ Overrides (everything else inherits the NumPy realization):
 * :meth:`NumbaBackend.resolve_pointer_forest` -- pointer doubling with the
   convergence test fused into the jump pass (no temporary, no second scan);
   drives the supervertex labeling in the contraction.
-* :meth:`NumbaBackend.scatter_max_ordered` / ``scatter_max_pairs`` -- the
-  maxIncident scatters as single loops, skipping the interleave staging
-  buffers entirely.
+* :meth:`NumbaBackend.scatter_max_pairs` -- the maxIncident scatter as a
+  single loop, skipping the interleave staging buffers entirely.
 * :meth:`NumbaBackend.expand_pool_partition` -- the ``assign_chains`` pool
   compaction + relabel + append as one fused pass.
 * :meth:`NumbaBackend.canonical_sort_order` -- the canonical descending
@@ -90,20 +89,6 @@ def _k_pointer_double(ptr, buf):
             return rounds
         for i in range(n):
             ptr[i] = buf[i]
-
-
-def _k_scatter_last(target, idx, values):
-    """Fancy-assignment semantics: last write wins at duplicate indices."""
-    for i in range(idx.size):
-        target[idx[i]] = values[i]
-
-
-def _k_scatter_max(target, idx, values):
-    """Atomic-max semantics, correct for any value order."""
-    for i in range(idx.size):
-        j = idx[i]
-        if values[i] > target[j]:
-            target[j] = values[i]
 
 
 def _k_scatter_max_pairs(out, u, v, idx):
@@ -417,8 +402,6 @@ def _k_leaf_pairs(leaf_a, leaf_b, pair_lb, start, end, indices, points_perm,
 
 _PY_KERNELS = {
     "pointer_double": _k_pointer_double,
-    "scatter_last": _k_scatter_last,
-    "scatter_max": _k_scatter_max,
     "scatter_max_pairs": _k_scatter_max_pairs,
     "pool_partition": _k_pool_partition,
     "chain_keys": _k_chain_keys,
@@ -472,17 +455,6 @@ class NumbaBackend(NumpyBackend):
         for _ in range(rounds):
             emit(name, "jump", n)
         return pointer
-
-    def scatter_max_ordered(
-        self, target, idx, values, name: str | None = "scatter_max",
-        assume_ordered: bool = True,
-    ):
-        self._emit(name, "scatter", int(np.size(idx)))
-        if assume_ordered:
-            self._k["scatter_last"](target, idx, values)
-        else:
-            self._k["scatter_max"](target, idx, values)
-        return target
 
     def scatter_max_pairs(self, out, u, v, idx, name: str | None = "scatter_max"):
         self._emit(name, "scatter", 2 * int(np.size(u)))
@@ -587,8 +559,6 @@ class NumbaBackend(NumpyBackend):
         """
         i8 = np.zeros(1, dtype=np.int64)
         self.resolve_pointer_forest(i8.copy())
-        self.scatter_max_ordered(i8.copy(), i8, i8)
-        self.scatter_max_ordered(i8.copy(), i8, i8, assume_ordered=False)
         self.scatter_max_pairs(i8.copy(), i8, i8, i8)
         self.expand_pool_partition(
             i8[:0], i8[:0], None, i8,

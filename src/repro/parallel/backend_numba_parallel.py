@@ -36,13 +36,13 @@ Overrides (everything else inherits the numba/NumPy realization):
 * ``chain_sort_keys`` and the canonical sort's u64 weight-key build run as
   elementwise ``prange`` loops.
 
-The scatter kernels (``scatter_max_ordered``, ``scatter_max_pairs``) stay
-sequential *inside* a ``nogil=True`` compile: their last-write-wins /
-atomic-max semantics have no race-free CPU ``prange`` realization without
-atomic intrinsics (numba exposes none on CPU), and a racy loop would break
-the bit-identical backend contract.  Dropping the GIL is what the serving
-path needs from them -- concurrent jobs overlap these kernels across
-threads even though each executes on one core.
+The maxIncident scatter (``scatter_max_pairs``) stays sequential *inside*
+a ``nogil=True`` compile: its last-write-wins / atomic-max semantics have
+no race-free CPU ``prange`` realization without atomic intrinsics (numba
+exposes none on CPU), and a racy loop would break the bit-identical
+backend contract.  Dropping the GIL is what the serving path needs from
+it -- concurrent jobs overlap the kernel across threads even though each
+executes on one core.
 
 Determinism is the contract: every kernel here admits exactly one output
 (stable counting passes, round-synchronous jumps, chunk-owned output
@@ -485,8 +485,6 @@ _PY_PAR_KERNELS = {
     "leaf_pairs": _k_leaf_pairs_par,
 }
 _PY_SEQ_KERNELS = {
-    "scatter_last": _PY_KERNELS["scatter_last"],
-    "scatter_max": _PY_KERNELS["scatter_max"],
     "scatter_max_pairs": _PY_KERNELS["scatter_max_pairs"],
     "radix_scan": _k_radix_scan,
     # Bottom-up tree reductions carry a child->parent dependency chain, so

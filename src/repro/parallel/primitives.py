@@ -2,9 +2,11 @@
 
 The PANDORA paper expresses every kernel as one of a handful of parallel
 constructs -- parallel loops (maps), reductions, prefix sums (scans), sorts,
-gathers and scatters.  This module provides exactly those constructs as thin
-dispatchers onto the active :class:`~repro.parallel.backend.Backend`
-(see :func:`~repro.parallel.backend.get_backend`).  Each call:
+gathers and scatters.  This module holds the free-function form of the
+constructs the algorithms import by name -- scans, sorts, scatters,
+segment heads and the spatial kernels -- as thin dispatchers onto the
+active :class:`~repro.parallel.backend.Backend` (see
+:func:`~repro.parallel.backend.get_backend`).  Each call:
 
 * performs the operation as a single pass over the arrays on whichever
   execution backend is active (bulk NumPy kernels by default, JIT-fused
@@ -14,10 +16,13 @@ dispatchers onto the active :class:`~repro.parallel.backend.Backend`
   :class:`~repro.parallel.machine.DeviceSpec` -- the record sequence is
   backend-invariant by contract.
 
-Algorithms in :mod:`repro.core` and :mod:`repro.mst` are written exclusively
-against this layer (or the backend vocabulary directly, for fused hot-path
-kernels), which is what makes the claim "every step is a map, scan or sort"
-checkable: the recorded kernel trace *is* the algorithm's parallel schedule.
+Algorithms in :mod:`repro.core`, :mod:`repro.mst` and :mod:`repro.spatial`
+call either these wrappers or the backend vocabulary directly (maps,
+gathers, compaction and the fused hot-path kernels), which is what makes
+the claim "every step is a map, scan or sort" checkable: the recorded
+kernel trace *is* the algorithm's parallel schedule.  The vocabulary is
+exactly what those algorithms call; ``tests/test_backends.py`` fails on an
+operation or wrapper without a library caller.
 """
 
 from __future__ import annotations
@@ -27,56 +32,20 @@ import numpy as np
 from .backend import get_backend
 
 __all__ = [
-    "parallel_map",
-    "reduce_sum",
-    "reduce_max",
-    "reduce_min",
-    "inclusive_scan",
     "exclusive_scan",
     "sort",
     "argsort",
     "argsort_bounded",
     "lexsort",
-    "sort_by_key",
-    "gather",
     "scatter",
-    "scatter_max_ordered",
     "scatter_min_at",
-    "compact",
     "segmented_first",
-    "unique_labels",
     "spatial_partition",
     "spatial_knn",
     "spatial_node_reduce",
     "spatial_seed_scan",
     "spatial_leaf_pairs",
 ]
-
-
-def parallel_map(fn, *arrays: np.ndarray, name: str = "map") -> np.ndarray:
-    """Apply a vectorized elementwise function: ``parallel_for`` analogue.
-
-    ``fn`` must itself be a bulk array expression (e.g. ``lambda a, b:
-    a + b``); this wrapper exists to account the launch, not to loop.
-    """
-    return get_backend().map(fn, *arrays, name=name)
-
-
-def reduce_sum(a: np.ndarray, name: str = "reduce_sum"):
-    return get_backend().reduce_sum(a, name=name)
-
-
-def reduce_max(a: np.ndarray, name: str = "reduce_max"):
-    return get_backend().reduce_max(a, name=name)
-
-
-def reduce_min(a: np.ndarray, name: str = "reduce_min"):
-    return get_backend().reduce_min(a, name=name)
-
-
-def inclusive_scan(a: np.ndarray, name: str = "scan") -> np.ndarray:
-    """Inclusive prefix sum (Kokkos ``parallel_scan``)."""
-    return get_backend().inclusive_scan(a, name=name)
 
 
 def exclusive_scan(
@@ -118,45 +87,11 @@ def lexsort(keys: tuple[np.ndarray, ...], name: str = "lexsort") -> np.ndarray:
     return get_backend().lexsort(keys, name=name)
 
 
-def sort_by_key(
-    keys: np.ndarray, values: np.ndarray, name: str = "sort_by_key"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Key-value sort, stable in the values for equal keys."""
-    return get_backend().sort_by_key(keys, values, name=name)
-
-
-def gather(a: np.ndarray, idx: np.ndarray, name: str = "gather") -> np.ndarray:
-    return get_backend().gather(a, idx, name=name)
-
-
 def scatter(
     target: np.ndarray, idx: np.ndarray, values, name: str = "scatter"
 ) -> np.ndarray:
     """Indexed write ``target[idx] = values`` (duplicate behaviour unspecified)."""
     return get_backend().scatter(target, idx, values, name=name)
-
-
-def scatter_max_ordered(
-    target: np.ndarray, idx: np.ndarray, values: np.ndarray,
-    name: str = "scatter_max", assume_ordered: bool = True,
-) -> np.ndarray:
-    """``target[i] = max(target[i], max of values scattered to i)``.
-
-    With ``assume_ordered=True`` (the default), ``values`` must be sorted
-    ascending wherever indices collide; then a last-write-wins indexed
-    store realizes an atomic-max.  This is how ``maxIncident`` is computed:
-    edges are stored in descending-weight order so their indices 0..m-1 are
-    ascending, making the lightest (largest-index) incident edge the last
-    writer.
-
-    Pass ``assume_ordered=False`` when the caller cannot guarantee the
-    precondition: the explicit atomic-max fallback (the GPU ``atomicMax``
-    analogue) is used instead, correct for any value order at a higher
-    per-element cost.  Both semantics are part of the backend contract.
-    """
-    return get_backend().scatter_max_ordered(
-        target, idx, values, name=name, assume_ordered=assume_ordered
-    )
 
 
 def scatter_min_at(
@@ -167,25 +102,11 @@ def scatter_min_at(
     return get_backend().scatter_min_at(target, idx, values, name=name)
 
 
-def compact(a: np.ndarray, mask: np.ndarray, name: str = "compact") -> np.ndarray:
-    """Stream compaction (filter): scan + gather on GPU, one pass here."""
-    return get_backend().compact(a, mask, name=name)
-
-
 def segmented_first(
     sorted_keys: np.ndarray, name: str = "segmented_first"
 ) -> np.ndarray:
     """Boolean mask of the first element of each run in a sorted key array."""
     return get_backend().segmented_first(sorted_keys, name=name)
-
-
-def unique_labels(labels: np.ndarray, name: str = "relabel") -> tuple[np.ndarray, int]:
-    """Compact arbitrary integer labels to 0..k-1; returns (new_labels, k).
-
-    Implemented as sort + segmented head flags + scan, the standard GPU
-    relabeling kernel sequence.
-    """
-    return get_backend().unique_labels(labels, name=name)
 
 
 # --------------------------------------------------------------------------

@@ -1,27 +1,20 @@
-"""Union-find (disjoint set) structures.
+"""Sequential union-find (disjoint set) structure.
 
-Two implementations with different roles:
-
-* :class:`UnionFind` -- the classic sequential structure with union by size
-  and path halving.  This is the engine of the *bottom-up baseline*
-  (Algorithm 2 of the paper) and of Kruskal's MST; its sequential edge loop
-  is precisely the parallelization obstacle PANDORA removes.
-
-* :class:`ArrayUnionFind` -- a flat-array, pointer-jumping variant in the
-  style of the synchronization-free GPU union-find of Jaiganesh & Burtscher
-  (ECL-CC) that the paper uses for tree contraction.  Unions are applied in
-  bulk batches; ``flatten`` performs pointer-jumping rounds until every
-  element points at its root.  All operations are whole-array NumPy kernels.
+:class:`UnionFind` is the classic sequential structure with union by size
+and path halving, used by Kruskal's MST, SLINK and
+``Dendrogram.to_linkage`` (the *bottom-up baseline*, Algorithm 2 of the
+paper, inlines the same loop).  Its sequential edge loop is precisely the
+parallelization obstacle PANDORA removes.  The bulk, data-parallel
+counterpart (min-hooking plus pointer jumping, the ECL-CC schedule the
+paper uses for tree contraction) is
+:func:`repro.parallel.connected.connected_components`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .backend import get_backend
-from .machine import emit
-
-__all__ = ["UnionFind", "ArrayUnionFind"]
+__all__ = ["UnionFind"]
 
 
 class UnionFind:
@@ -77,73 +70,3 @@ class UnionFind:
             count=len(self.parent),
             dtype=np.int64,
         )
-
-
-class ArrayUnionFind:
-    """Bulk, vectorized union-find via min-hooking and pointer jumping.
-
-    The representative of each set is its minimum element id, which makes
-    hooking deterministic regardless of the order unions are applied in a
-    batch -- the property a lock-free GPU implementation needs.
-
-    ``union_batch(u, v)`` applies many unions at once: repeated rounds of
-
-    1. *hook*: for every pair, atomically ``parent[max(root_u, root_v)] =
-       min(...)`` (here ``np.minimum.at``);
-    2. *shortcut*: pointer jumping ``parent = parent[parent]`` to a fixed
-       point,
-
-    which is the Shiloach-Vishkin / ECL-CC schedule.  Each round is O(1)
-    kernels; the number of rounds is O(log n) for any batch.
-    """
-
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int) -> None:
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
-        self.parent = np.arange(n, dtype=np.int64)
-
-    def union_batch(self, u: np.ndarray, v: np.ndarray) -> None:
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        if u.shape != v.shape:
-            raise ValueError("u and v must have the same shape")
-        if u.size == 0:
-            return
-        parent = self.parent  # flatten() compresses it in place
-        while True:
-            pu = parent[u]
-            pv = parent[v]
-            emit("uf.gather_roots", "gather", 2 * u.size)
-            active = pu != pv
-            if not active.any():
-                break
-            lo = np.minimum(pu[active], pv[active])
-            hi = np.maximum(pu[active], pv[active])
-            get_backend().scatter_min_at(parent, hi, lo, name="uf.hook")
-            self.flatten()
-
-    def flatten(self) -> None:
-        """Pointer-jump every element to its root (backend jump kernel)."""
-        resolved = get_backend().resolve_pointer_forest(self.parent, name="uf.jump")
-        if resolved is not self.parent:
-            # The backend may hand back its ping-pong scratch; ``parent``
-            # outlives this call, so copy out of the workspace buffer.
-            self.parent[:] = resolved
-
-    def find_all(self) -> np.ndarray:
-        """Root of every element (array of length n); flattens first."""
-        self.flatten()
-        return self.parent.copy()
-
-    def find_many(self, xs: np.ndarray) -> np.ndarray:
-        """Roots of the queried elements; flattens first."""
-        self.flatten()
-        emit("uf.find_many", "gather", int(np.size(xs)))
-        return self.parent[xs]
-
-    @property
-    def n_components(self) -> int:
-        self.flatten()
-        return int(np.unique(self.parent).size)

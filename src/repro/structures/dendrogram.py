@@ -272,10 +272,13 @@ class Dendrogram:
         Returns ``(n_vertices,)`` labels in ``0..k-1`` (cluster of the
         smallest member vertex first), matching
         ``scipy.cluster.hierarchy.fcluster(Z, threshold, 'distance')`` up to
-        label permutation.
+        label permutation.  A NaN threshold raises ``ValueError``;
+        ``+-inf`` give one cluster / all singletons.
         """
         from ..parallel.connected import components_of_forest
 
+        if np.isnan(threshold):
+            raise ValueError("cut threshold must not be NaN")
         mask = self.edges.w <= threshold
         sub = np.stack([self.edges.u[mask], self.edges.v[mask]], axis=1)
         labels, _k = components_of_forest(self.n_vertices, sub)

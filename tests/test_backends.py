@@ -11,10 +11,15 @@ JIT-compiled backend is exercised too.
 
 from __future__ import annotations
 
+import ast
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from backend_fixtures import backend_params
+import repro
 from repro import pandora
 from repro.parallel import (
     BackendUnavailable,
@@ -30,6 +35,7 @@ from repro.parallel import (
     use_backend,
     workspace,
 )
+from repro.parallel import primitives
 from repro.parallel.backend_numba import NumbaBackend, numba_available
 from repro.structures.tree import random_spanning_tree
 
@@ -137,6 +143,76 @@ class TestRegistry:
 
 
 # ---------------------------------------------------------------------------
+# Vocabulary: every operation has a library caller
+# ---------------------------------------------------------------------------
+
+#: Public ``NumpyBackend`` names exempt from the caller check, with reasons.
+_VOCABULARY_ALLOWED = {
+    "take": "workspace scratch allocator, not a kernel",
+    "asarray": "array constructor for device backends, not a kernel",
+    "empty": "array constructor for device backends, not a kernel",
+    "zeros": "array constructor for device backends, not a kernel",
+    "full": "array constructor for device backends, not a kernel",
+    "arange": "array constructor for device backends, not a kernel",
+    "workspace": "per-thread scratch pool, read as a property",
+    "encode_floats_ascending": "composed inside spatial_partition; numba "
+                               "overrides it",
+}
+
+
+def _library_uses() -> tuple[set[str], set[str]]:
+    """``(x.name(...) call names, imported-or-called bare names)`` over
+    ``src/repro``, skipping the vocabulary's own modules and the package
+    ``__init__`` re-exports.  Calls on ``np``/``numpy`` do not count."""
+    root = Path(repro.__file__).parent
+    method_calls: set[str] = set()
+    names: set[str] = set()
+    for path in root.rglob("*.py"):
+        rel = path.relative_to(root).as_posix()
+        if (path.name == "__init__.py" or rel == "parallel/primitives.py"
+                or rel.startswith("parallel/backend")):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Call):
+                fn = node.func
+                if isinstance(fn, ast.Name):
+                    names.add(fn.id)
+                elif isinstance(fn, ast.Attribute) and not (
+                    isinstance(fn.value, ast.Name)
+                    and fn.value.id in ("np", "numpy")
+                ):
+                    method_calls.add(fn.attr)
+    return method_calls, names
+
+
+class TestVocabulary:
+    def test_every_operation_has_a_library_caller(self):
+        """The kernel vocabulary is exactly what the algorithms call: a
+        backend operation must be called as ``x.name(...)`` or reached
+        through a used ``primitives`` wrapper, and every wrapper must be
+        imported or called.  References for anything else belong in the
+        tests."""
+        public = {
+            n for n, v in vars(NumpyBackend).items()
+            if not n.startswith("_")
+            and (inspect.isfunction(v) or isinstance(v, property))
+        }
+        assert set(_VOCABULARY_ALLOWED) <= public, "stale allow-list entry"
+        method_calls, names = _library_uses()
+        used_wrappers = set(primitives.__all__) & names
+        dead_wrappers = sorted(set(primitives.__all__) - used_wrappers)
+        dead = sorted(
+            public - method_calls - used_wrappers - set(_VOCABULARY_ALLOWED)
+        )
+        assert not (dead or dead_wrappers), (
+            f"backend operations with no library caller: {dead}; "
+            f"primitives wrappers with no library caller: {dead_wrappers}"
+        )
+
+
+# ---------------------------------------------------------------------------
 # Cross-backend parity: parents and kernel traces
 # ---------------------------------------------------------------------------
 
@@ -227,23 +303,19 @@ class TestFusedKernels:
 
     @pytest.mark.parametrize("b", _numba_instances(), ids=lambda b: b.name)
     def test_scatter_max_semantics(self, b, rng):
+        """Unordered ``idx`` (outside maxIncident's ascending precondition):
+        both realizations still write each edge's two endpoints in edge
+        order, so last-write-wins agrees bit for bit."""
+        npb = NumpyBackend()
         for _ in range(10):
             n = int(rng.integers(1, 40))
             m = int(rng.integers(1, 150))
-            idx = rng.integers(0, n, size=m)
-            vals = rng.integers(-50, 1000, size=m)
-            # unordered fallback == atomic max
-            ref = np.full(n, -1, dtype=np.int64)
-            np.maximum.at(ref, idx, vals)
-            got = b.scatter_max_ordered(
-                np.full(n, -1, dtype=np.int64), idx, vals, assume_ordered=False
-            )
+            u = rng.integers(0, n, size=m)
+            v = rng.integers(0, n, size=m)
+            idx = rng.integers(-50, 1000, size=m)
+            ref = npb.scatter_max_pairs(np.full(n, -1, dtype=np.int64), u, v, idx)
+            got = b.scatter_max_pairs(np.full(n, -1, dtype=np.int64), u, v, idx)
             assert np.array_equal(got, ref)
-            # ordered path == last-write-wins (NumPy fancy assignment)
-            ref2 = np.full(n, -1, dtype=np.int64)
-            ref2[idx] = vals
-            got2 = b.scatter_max_ordered(np.full(n, -1, dtype=np.int64), idx, vals)
-            assert np.array_equal(got2, ref2)
 
     @pytest.mark.parametrize("b", _numba_instances(), ids=lambda b: b.name)
     def test_scatter_max_pairs_matches_numpy(self, b, rng):

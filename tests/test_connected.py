@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.parallel import components_of_forest, connected_components
+from repro.parallel import UnionFind, components_of_forest, connected_components
 
 
 def _ref_components(n: int, edges: np.ndarray) -> np.ndarray:
@@ -55,6 +55,10 @@ class TestConnectedComponents:
         out = connected_components(5, np.array([[4, 2], [2, 3]]))
         assert out[4] == out[2] == out[3] == 2
 
+    def test_chain_representative_is_minimum(self):
+        out = connected_components(5, np.array([[4, 3], [3, 2]]))
+        assert out[4] == out[3] == out[2] == 2
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             connected_components(3, np.array([[0, 5]]))
@@ -71,6 +75,26 @@ class TestConnectedComponents:
             ours = connected_components(n, edges)
             ref = _ref_components(n, edges)
             assert np.array_equal(ours, ref)
+
+    def test_matches_sequential_union_find(self, rng):
+        """Random multigraphs, self-loops and duplicate edges included:
+        labels equal the scalar union-find's partition, each vertex labeled
+        by its component's minimum member."""
+        for _ in range(25):
+            n = int(rng.integers(1, 60))
+            m = int(rng.integers(0, 100))
+            edges = rng.integers(0, n, size=(m, 2))
+            loops = np.repeat(rng.integers(0, n, size=(3, 1)), 2, axis=1)
+            edges = np.concatenate([edges, loops, edges[: m // 4]])
+            seq = UnionFind(n)
+            for a, b in edges:
+                seq.union(int(a), int(b))
+            roots = seq.labels()
+            min_member = np.full(n, n, dtype=np.int64)
+            np.minimum.at(min_member, roots, np.arange(n))
+            assert np.array_equal(
+                connected_components(n, edges), min_member[roots]
+            )
 
     @given(
         n=st.integers(1, 50),

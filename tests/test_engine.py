@@ -269,6 +269,19 @@ class TestBatchedQueries:
         for i, t in enumerate(thresholds):
             assert np.array_equal(labels[i], handle.cut(t))
 
+    def test_cut_nan_threshold_raises_and_inf_agrees(self, rng):
+        u, v, w = random_spanning_tree(50, rng, skew=0.2)
+        handle = Engine().fit(u, v, w)
+        with pytest.raises(ValueError, match="NaN"):
+            handle.cut(float("nan"))
+        with pytest.raises(ValueError, match="NaN"):
+            handle.cut_many([1.0, float("nan")])
+        labels = handle.cut_many([float("inf"), float("-inf")])
+        assert np.array_equal(labels[0], handle.cut(float("inf")))
+        assert np.array_equal(labels[1], handle.cut(float("-inf")))
+        assert labels[0].max() == 0
+        assert np.array_equal(labels[1], np.arange(handle.n_vertices))
+
     def test_cut_many_empty(self, rng):
         u, v, w = random_spanning_tree(50, rng, skew=0.2)
         handle = Engine().fit(u, v, w)

@@ -2,8 +2,11 @@
 
 The whole module is parameterized over every registered execution backend
 (module-scoped autouse fixture): the primitive semantics -- including the
-ordered-scatter last-write-wins trick and the atomic-max fallback -- are
-part of the backend contract, so each backend must pass identically.
+maxIncident scatter's ordered last-write-wins realization of an atomic
+max -- are part of the backend contract, so each backend must pass
+identically.  Operations the algorithms call on the backend directly
+(``map``, ``gather``, ``compact``, ``scatter_max_pairs``) are tested
+through :func:`~repro.parallel.get_backend`.
 """
 
 from __future__ import annotations
@@ -15,23 +18,14 @@ from backend_fixtures import backend_params
 from repro.parallel import use_backend
 from repro.parallel import (
     CostModel,
-    compact,
     exclusive_scan,
-    gather,
-    inclusive_scan,
+    get_backend,
     lexsort,
-    parallel_map,
-    reduce_max,
-    reduce_min,
-    reduce_sum,
     scatter,
-    scatter_max_ordered,
     scatter_min_at,
     segmented_first,
     sort,
-    sort_by_key,
     tracking,
-    unique_labels,
 )
 
 
@@ -43,10 +37,6 @@ def _active_backend(request):
 
 
 class TestScans:
-    def test_inclusive_scan_matches_cumsum(self):
-        a = np.array([3, 1, 4, 1, 5, 9, 2, 6])
-        assert np.array_equal(inclusive_scan(a), np.cumsum(a))
-
     def test_exclusive_scan_shifts(self):
         a = np.array([3, 1, 4, 1, 5])
         out = exclusive_scan(a)
@@ -62,16 +52,6 @@ class TestScans:
     def test_exclusive_scan_floats(self):
         a = np.array([0.5, 1.5, 2.0])
         assert np.allclose(exclusive_scan(a), [0.0, 0.5, 2.0])
-
-
-class TestReductions:
-    def test_reduce_sum(self):
-        assert reduce_sum(np.arange(10)) == 45
-
-    def test_reduce_max_min(self):
-        a = np.array([3, -1, 7, 2])
-        assert reduce_max(a) == 7
-        assert reduce_min(a) == -1
 
 
 class TestSorts:
@@ -97,68 +77,34 @@ class TestSorts:
         with pytest.raises(ValueError):
             lexsort(())
 
-    def test_sort_by_key(self):
-        k = np.array([3, 1, 2])
-        v = np.array([30, 10, 20])
-        ks, vs = sort_by_key(k, v)
-        assert np.array_equal(ks, [1, 2, 3])
-        assert np.array_equal(vs, [10, 20, 30])
-
 
 class TestGatherScatter:
     def test_gather(self):
         a = np.array([10, 20, 30])
-        assert np.array_equal(gather(a, np.array([2, 0])), [30, 10])
+        assert np.array_equal(get_backend().gather(a, np.array([2, 0])), [30, 10])
 
     def test_scatter(self):
         a = np.zeros(4, dtype=np.int64)
         scatter(a, np.array([1, 3]), np.array([5, 7]))
         assert np.array_equal(a, [0, 5, 0, 7])
 
-    def test_scatter_max_ordered_last_write_wins(self):
-        """The maxIncident trick: ascending values + duplicate indices."""
-        target = np.full(3, -1, dtype=np.int64)
-        idx = np.array([0, 1, 0, 2, 0])
-        vals = np.array([1, 2, 3, 4, 5])  # ascending => last write is max
-        scatter_max_ordered(target, idx, vals)
-        assert np.array_equal(target, [5, 2, 4])
-
     def test_scatter_max_matches_maximum_at(self, rng):
-        """Property: ordered fancy assignment == explicit atomic max."""
-        for _ in range(20):
+        """Property: the maxIncident scatter (ascending ``idx``, repeated
+        endpoints) == an explicit atomic max over both endpoint columns."""
+        for dtype in (np.int32, np.int64) * 10:
             n = int(rng.integers(1, 50))
             m = int(rng.integers(1, 200))
-            idx = rng.integers(0, n, size=m)
-            vals = np.sort(rng.integers(0, 1000, size=m))
-            a = np.full(n, -1, dtype=np.int64)
-            scatter_max_ordered(a, idx, vals)
-            b = np.full(n, -1, dtype=np.int64)
-            np.maximum.at(b, idx, vals)
-            assert np.array_equal(a, b)
-
-    def test_scatter_max_unordered_fallback(self):
-        """Colliding *unordered* values: the ordered trick would return the
-        last write (1), the atomic-max fallback must return the max (9)."""
-        idx = np.array([0, 0, 0, 1])
-        vals = np.array([5, 9, 1, 4])  # not ascending at the collisions
-        ordered = np.full(2, -1, dtype=np.int64)
-        scatter_max_ordered(ordered, idx, vals)
-        assert ordered[0] == 1  # precondition violated => wrong answer
-        fallback = np.full(2, -1, dtype=np.int64)
-        scatter_max_ordered(fallback, idx, vals, assume_ordered=False)
-        assert np.array_equal(fallback, [9, 4])
-
-    def test_scatter_max_fallback_matches_maximum_at_random(self, rng):
-        for _ in range(20):
-            n = int(rng.integers(1, 40))
-            m = int(rng.integers(1, 150))
-            idx = rng.integers(0, n, size=m)
-            vals = rng.integers(-50, 1000, size=m)  # arbitrary order
-            a = np.full(n, -1, dtype=np.int64)
-            scatter_max_ordered(a, idx, vals, assume_ordered=False)
-            b = np.full(n, -1, dtype=np.int64)
-            np.maximum.at(b, idx, vals)
-            assert np.array_equal(a, b)
+            u = rng.integers(0, n, size=m).astype(dtype)
+            v = rng.integers(0, n, size=m).astype(dtype)
+            idx = np.sort(rng.integers(0, 1000, size=m)).astype(dtype)
+            got = get_backend().scatter_max_pairs(
+                np.full(n, -1, dtype=dtype), u, v, idx
+            )
+            ref = np.full(n, -1, dtype=dtype)
+            np.maximum.at(ref, u, idx)
+            np.maximum.at(ref, v, idx)
+            assert got.dtype == dtype
+            assert np.array_equal(got, ref)
 
     def test_scatter_min_at(self):
         a = np.full(3, 100, dtype=np.int64)
@@ -169,7 +115,7 @@ class TestGatherScatter:
 class TestCompactAndSegments:
     def test_compact(self):
         a = np.arange(6)
-        out = compact(a, a % 2 == 0)
+        out = get_backend().compact(a, a % 2 == 0)
         assert np.array_equal(out, [0, 2, 4])
 
     def test_segmented_first(self):
@@ -181,22 +127,17 @@ class TestCompactAndSegments:
     def test_segmented_first_empty(self):
         assert segmented_first(np.zeros(0)).size == 0
 
-    def test_unique_labels_compacts_and_preserves_order(self):
-        labels = np.array([10, 3, 10, 7, 3])
-        new, k = unique_labels(labels)
-        assert k == 3
-        # smallest representative gets id 0
-        assert np.array_equal(new, [2, 0, 2, 1, 0])
-
 
 class TestParallelMap:
     def test_map_applies_function(self):
-        out = parallel_map(lambda a, b: a + b, np.arange(3), np.ones(3, dtype=int))
+        out = get_backend().map(
+            lambda a, b: a + b, np.arange(3), np.ones(3, dtype=int)
+        )
         assert np.array_equal(out, [1, 2, 3])
 
     def test_map_records_kernel(self):
         model = CostModel()
         with tracking(model):
-            parallel_map(lambda a: a * 2, np.arange(10))
+            get_backend().map(lambda a: a * 2, np.arange(10))
         assert model.kernel_count() == 1
         assert model.total_work() == 10

@@ -1,13 +1,11 @@
-"""Union-find tests: sequential oracle behaviour and bulk equivalence."""
+"""Sequential union-find tests (the bulk counterpart is
+``connected_components``, tested in ``test_connected.py``)."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.parallel import ArrayUnionFind, UnionFind
+from repro.parallel import UnionFind
 
 
 class TestSequentialUnionFind:
@@ -56,73 +54,3 @@ class TestSequentialUnionFind:
         assert labels[1] == labels[4]
         assert labels[2] == labels[5]
         assert labels[1] != labels[2]
-
-
-class TestArrayUnionFind:
-    def test_batch_matches_sequential(self, rng):
-        for _ in range(25):
-            n = int(rng.integers(1, 60))
-            m = int(rng.integers(0, 100))
-            u = rng.integers(0, n, size=m)
-            v = rng.integers(0, n, size=m)
-            seq = UnionFind(n)
-            for a, b in zip(u, v):
-                seq.union(int(a), int(b))
-            bulk = ArrayUnionFind(n)
-            bulk.union_batch(u, v)
-            seq_labels = seq.labels()
-            bulk_labels = bulk.find_all()
-            # same partition: labels equal up to renaming
-            for a in range(n):
-                for b in range(a + 1, n):
-                    assert (seq_labels[a] == seq_labels[b]) == (
-                        bulk_labels[a] == bulk_labels[b]
-                    )
-
-    def test_bulk_representative_is_minimum(self):
-        uf = ArrayUnionFind(5)
-        uf.union_batch(np.array([4, 3]), np.array([3, 2]))
-        labels = uf.find_all()
-        assert labels[4] == labels[3] == labels[2] == 2
-
-    def test_empty_batch(self):
-        uf = ArrayUnionFind(3)
-        uf.union_batch(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-        assert uf.n_components == 3
-
-    def test_shape_mismatch_rejected(self):
-        uf = ArrayUnionFind(3)
-        with pytest.raises(ValueError):
-            uf.union_batch(np.array([0]), np.array([1, 2]))
-
-    def test_find_many(self):
-        uf = ArrayUnionFind(4)
-        uf.union_batch(np.array([0]), np.array([3]))
-        roots = uf.find_many(np.array([3, 0, 1]))
-        assert roots[0] == roots[1]
-        assert roots[2] != roots[0]
-
-    @given(
-        n=st.integers(2, 40),
-        pairs=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)),
-                       max_size=60),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_property_same_partition(self, n, pairs):
-        pairs = [(a % n, b % n) for a, b in pairs]
-        seq = UnionFind(n)
-        for a, b in pairs:
-            seq.union(a, b)
-        bulk = ArrayUnionFind(n)
-        if pairs:
-            u, v = map(np.asarray, zip(*pairs))
-            bulk.union_batch(u, v)
-        sl = seq.labels()
-        bl = bulk.find_all()
-
-        # canonical first-occurrence relabeling, then compare
-        def canon(labels):
-            first: dict[int, int] = {}
-            return [first.setdefault(int(x), len(first)) for x in labels]
-
-        assert canon(sl) == canon(bl)
