@@ -174,11 +174,12 @@ def _process_problem_sets(n_edges: int, repeats: int):
 
 
 def _bare_init(backend_name: str) -> None:
-    """Initializer of the bare comparison pool: the same spawn-safe
-    bootstrap ShardPool workers run, minus all supervision."""
-    from repro.engine.worker import _worker_engine, reset_inherited_context
+    """Initializer of the bare comparison pool: the backend pin and worker
+    engine ShardPool workers boot with, minus all supervision."""
+    from repro.engine.worker import _worker_engine
+    from repro.parallel import set_default_backend
 
-    reset_inherited_context(backend_name)
+    set_default_backend(backend_name)
     _worker_engine()
 
 

@@ -7,16 +7,17 @@ the shared :mod:`repro.parallel.sortlib` engine does about it, per backend
 and per size (100k / 1M edges):
 
 * **canonical sort** (``edges.sort_desc``): the monotone-u64-key LSD radix
-  vs the two-key ``lexsort((ids, -w))`` reference (the ``radix_sort``
-  hot-path flag pins the reference path), plus the *engine gate* pair --
-  the radix engine and a plain stable ``np.argsort`` timed on the same
-  pre-encoded key, which is what the CI smoke gate compares (the engine
-  regressing below the argsort it replaced means the pass structure
-  stopped paying for itself);
+  vs the two-key ``np.lexsort((ids, -w))`` reference, plus the *engine
+  gate* pair -- the radix engine and a plain stable ``np.argsort`` timed
+  on the same pre-encoded key, which is what the CI smoke gate compares
+  (the engine regressing below the argsort it replaced means the pass
+  structure stopped paying for itself);
 * **chain-stitch sort** (``stitch.chain_sort``): the bounded
-  counting/radix sort vs the stable-argsort reference;
-* **end-to-end**: full ``pandora()`` runs on the numpy backend with the
-  engine on and off -- the sort-phase speedup and the new sort_fraction,
+  counting/radix sort vs the stable ``np.argsort`` reference;
+* **end-to-end**: full ``pandora()`` runs on the numpy backend and on
+  :class:`ComparisonSortBackend`, this file's numpy backend with the two
+  comparison-sort references in place of the engine -- the sort-phase
+  speedup and the new sort_fraction,
   the acceptance numbers of the sortlib PR (>= 1.5x phase speedup and
   sort_fraction < 0.45 at 1M edges, asserted at full size).
 
@@ -44,10 +45,10 @@ import numpy as np
 from conftest import scaled
 from repro.core.pandora import pandora
 from repro.parallel import (
+    NumpyBackend,
     available_backends,
     debug_checks_set,
     get_backend,
-    hotpath,
     use_backend,
 )
 from repro.parallel.sortlib import (
@@ -68,6 +69,22 @@ ARGSORT_GATE_SLACK = 1.25
 _DIR = os.path.dirname(__file__)
 ARTIFACT = os.path.join(_DIR, "BENCH_sort.json")
 SMOKE_ARTIFACT = os.path.join(_DIR, "BENCH_sort_smoke.json")
+
+
+class ComparisonSortBackend(NumpyBackend):
+    """The numpy backend with the comparison sorts the radix engine
+    replaced: the two-key ``lexsort((ids, -w))`` canonical order and a
+    stable ``np.argsort`` of bounded keys (same orders, same records)."""
+
+    name = "numpy-comparison-sort"
+
+    def canonical_sort_order(self, weights, ids, name="edges.sort_desc"):
+        self._emit(name, "sort", weights.size)
+        return np.lexsort((ids, -weights))
+
+    def argsort_bounded(self, keys, min_key, max_key, name="argsort"):
+        self._emit(name, "sort", keys.size)
+        return np.argsort(keys, kind="stable")
 
 
 def _timeit(fn, repeats: int) -> dict:
@@ -97,11 +114,10 @@ def _bench_backend_sorts(name: str, w, ids, key, n: int, repeats: int) -> dict:
     with use_backend(name):
         backend = get_backend()
         # correctness gates before timing
+        ref_canon = np.lexsort((ids, -w))
+        ref_chain = np.argsort(key, kind="stable")
         radix_canon = backend.canonical_sort_order(w, ids, name=None)
         radix_chain = backend.argsort_bounded(key, -1, 2 * n + 1, name=None)
-        with hotpath(radix_sort=False):
-            ref_canon = backend.canonical_sort_order(w, ids, name=None)
-            ref_chain = backend.argsort_bounded(key, -1, 2 * n + 1, name=None)
         if not np.array_equal(radix_canon, ref_canon):
             raise AssertionError(f"{name}: canonical radix order != lexsort")
         if not np.array_equal(radix_chain, ref_chain):
@@ -113,6 +129,9 @@ def _bench_backend_sorts(name: str, w, ids, key, n: int, repeats: int) -> dict:
                     lambda: backend.canonical_sort_order(w, ids, name=None),
                     repeats,
                 ),
+                "lexsort_reference": _timeit(
+                    lambda: np.lexsort((ids, -w)), repeats
+                ),
                 "strategy": plan_unsigned(n, 64).describe(),
             },
             "chain": {
@@ -122,18 +141,12 @@ def _bench_backend_sorts(name: str, w, ids, key, n: int, repeats: int) -> dict:
                     ),
                     repeats,
                 ),
+                "argsort_reference": _timeit(
+                    lambda: np.argsort(key, kind="stable"), repeats
+                ),
                 "strategy": plan_bounded(n, -1, 2 * n + 1).describe(),
             },
         }
-        with hotpath(radix_sort=False):
-            out["canonical"]["lexsort_reference"] = _timeit(
-                lambda: backend.canonical_sort_order(w, ids, name=None),
-                repeats,
-            )
-            out["chain"]["argsort_reference"] = _timeit(
-                lambda: backend.argsort_bounded(key, -1, 2 * n + 1, name=None),
-                repeats,
-            )
         for site in ("canonical", "chain"):
             ref_key = ("lexsort_reference" if site == "canonical"
                        else "argsort_reference")
@@ -188,8 +201,13 @@ def _bench_e2e(u, v, w, repeats: int) -> dict:
             ),
         }
 
+    reference = ComparisonSortBackend()
+    radix_parent = pandora(u, v, w)[0].parent
+    with use_backend(reference):
+        if not np.array_equal(pandora(u, v, w)[0].parent, radix_parent):
+            raise AssertionError("e2e: radix parents != comparison-sort")
     out = {"radix": sample(repeats)}
-    with hotpath(radix_sort=False):
+    with use_backend(reference):
         out["reference"] = sample(repeats)
     out["sort_phase_speedup"] = round(
         out["reference"]["sort"]["mean"]

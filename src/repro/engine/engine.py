@@ -58,7 +58,6 @@ from ..core.pandora import PandoraStats, pandora
 from ..hdbscan.pipeline import HDBSCANResult, hdbscan, hdbscan_plan
 from ..obs.metrics import REGISTRY as _REGISTRY
 from ..obs.metrics import enabled as _obs_enabled
-from ..obs.metrics import label_scope as _label_scope
 from ..obs.spans import Span as _ObsSpan
 from ..obs.spans import new_id as _new_id
 from ..obs.spans import record_tree as _record_tree
@@ -238,11 +237,9 @@ class _ThreadLane:
         self.backend_name, self.batch_deadline = backend_name, batch_deadline
         self.workers = workers
 
-    @contextmanager
-    def open(self) -> Iterator[None]:
-        with _label_scope(executor="thread", backend=self.backend_name), \
-                ThreadPoolExecutor(max_workers=self.workers) as self.pool:
-            yield
+    def open(self) -> ThreadPoolExecutor:
+        self.pool = ThreadPoolExecutor(max_workers=self.workers)
+        return self.pool
 
     def body(self, index: int, item: Any,
              submitted_at: float | None = None) -> JobResult:
@@ -317,10 +314,9 @@ class _ProcessLane:
                 # The degraded re-run records its own thread-path request
                 # span and health; no process-side span is stitched.
                 self.thread.engine._pool_degraded += 1
-                with _label_scope(executor="thread", backend=backend):
-                    return contextvars.copy_context().run(
-                        self.thread.body, index, item
-                    )
+                return contextvars.copy_context().run(
+                    self.thread.body, index, item
+                )
             _stitch_process_span(trace, job, backend)
             outcome = JobResult(
                 index=index, status=job.status, value=job.value,

@@ -289,7 +289,10 @@ class ShardPool:
         Worker-process count; ``None`` = one per core, capped at 8.
     backend:
         Backend registry name pinned inside every worker (``None`` lets
-        workers resolve ``REPRO_BACKEND`` / the library default).
+        workers resolve ``REPRO_BACKEND`` / the library default).  Workers
+        run in a fresh context, so no other selection of the creating
+        context -- a ``use_backend`` stack, a serving override, a fault
+        plan -- reaches them.
     max_pending:
         Admission bound: queued + in-flight jobs beyond this shed with
         :class:`RejectedError`.
@@ -313,9 +316,6 @@ class ShardPool:
         ``multiprocessing`` start method; default ``fork`` where
         available (numba's tbb/workqueue threading layers are fork-safe;
         kernel caches make ``spawn`` workers cheap elsewhere).
-    warm:
-        Run the backend's ``warmup()`` in each worker before it reports
-        ready.
     """
 
     def __init__(
@@ -332,8 +332,6 @@ class ShardPool:
         max_dispatch: int = 4,
         worker_faults: Any = None,
         start_method: str | None = None,
-        warm: bool = False,
-        cache_entries: int = 32,
     ) -> None:
         if shards is None:
             shards = max(1, min(8, os.cpu_count() or 1))
@@ -362,8 +360,6 @@ class ShardPool:
         self._max_dispatch = max_dispatch
         self._worker_faults = worker_faults
         self._start_method = start_method
-        self._warm = warm
-        self._cache_entries = cache_entries
 
         self._ctx = mp.get_context(start_method)
         self._tick = max(0.01, min(0.25, heartbeat_s / 2.0))
@@ -803,8 +799,6 @@ class ShardPool:
         config = WorkerConfig(
             backend=self._backend_name,
             heartbeat_s=self._heartbeat_s,
-            warm=self._warm,
-            cache_entries=self._cache_entries,
             faults=self._worker_faults,
         )
         proc = self._ctx.Process(

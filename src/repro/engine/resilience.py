@@ -65,7 +65,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from ..obs.metrics import REGISTRY as _REGISTRY
-from ..obs.metrics import current_labels as _obs_labels
 from ..obs.spans import Span as _ObsSpan
 from ..obs.spans import span as _obs_span
 from ..parallel.backend import fallback_chain, use_backend
@@ -269,7 +268,6 @@ class BreakerBoard:
         self._lock = threading.Lock()
         # (backend, site) -> [consecutive transient failures, open-until]
         self._state: dict[tuple[str, str], list[float]] = {}
-        self.trips = 0
 
     def record_failure(
         self, backend: str, site: str, threshold: int, cooldown_s: float
@@ -282,7 +280,6 @@ class BreakerBoard:
             st[0] += 1
             if st[0] >= threshold and now >= st[1]:
                 st[1] = now + cooldown_s
-                self.trips += 1
                 return True
             return False
 
@@ -310,7 +307,8 @@ class BreakerBoard:
             )
 
     def snapshot(self) -> dict[str, dict[str, Any]]:
-        """``"backend/site" -> {consecutive_failures, open}`` plus trips."""
+        """``"backend/site" -> {consecutive_failures, open}``; trips are
+        counted by ``Engine.health()`` (``breaker_trips``)."""
         now = time.monotonic()
         with self._lock:
             return {
@@ -399,7 +397,8 @@ def run_job(
     ``submitted_at`` an optional ``time.perf_counter`` submission instant
     used to account queue wait (observed as ``repro_queue_wait_seconds``
     and a ``queue`` child span).  Runs in the caller's context (the
-    engine invokes it inside each job's context snapshot).
+    engine invokes it inside each job's context snapshot, on the thread
+    executor; its metrics carry ``executor="thread"``).
 
     Observability: the whole attempt sequence runs under a ``request``
     span -- retries, backoff sleeps, fallbacks, and breaker trips are
@@ -407,11 +406,10 @@ def run_job(
     ``docs/observability.md``); the final status annotates the span and
     lands in the ``repro_request_seconds`` histogram.
     """
-    executor = _obs_labels().get("executor", "thread")
     with _obs_span("request", job=index, backend=backend_name) as sp:
         if submitted_at is not None:
             queue_wait = max(0.0, time.perf_counter() - submitted_at)
-            _M_QUEUE_WAIT.observe(queue_wait, executor=executor)
+            _M_QUEUE_WAIT.observe(queue_wait, executor="thread")
             if sp:
                 queue = _ObsSpan("queue", duration_s=queue_wait)
                 queue.start_unix -= queue_wait
@@ -426,7 +424,7 @@ def run_job(
             backend=result.backend if result.backend else backend_name,
         )
         _M_REQUEST.observe(
-            result.latency_s, executor=executor, status=result.status
+            result.latency_s, executor="thread", status=result.status
         )
         return result
 

@@ -12,14 +12,15 @@ entire context: an armed :class:`~repro.engine.faults.FaultPlan`, a
 ``use_backend`` stack, cost-model tracking, workspace caps -- all of it.
 None of that state was addressed to the child, and silently executing
 under it would make worker behaviour depend on *where in the parent* the
-fork happened.  :func:`reset_inherited_context` therefore runs first in
-every worker, whatever the start method: it clears every context-local
-selection the execution stack defines and pins exactly the backend the
-pool was configured with.  The fault seam *hooks* are installed (importing
-:mod:`repro.engine.faults` is how cooperative deadlines reach kernels),
-but no plan is armed -- parent-side fault plans never leak into children;
-the only faults a worker sees are the explicit
-:class:`~repro.engine.faults.WorkerFaults` schedule in its config.
+fork happened.  Every worker therefore runs in a fresh
+:class:`contextvars.Context`, whatever the start method: every
+context-local selection the library defines starts at its default, and
+the worker then pins exactly the backend the pool was configured with.
+The fault seam *hooks* are installed (importing :mod:`repro.engine.faults`
+is how cooperative deadlines reach kernels), but no plan is armed --
+parent-side fault plans never leak into children; the only faults a
+worker sees are the explicit :class:`~repro.engine.faults.WorkerFaults`
+schedule in its config.
 
 Protocol
 --------
@@ -36,8 +37,8 @@ stop.
 
 Worker to parent, each a pickled tuple:
 
-* ``("ready",)`` -- bootstrap (including optional backend warmup and
-  any injected slow start) finished; dispatch may begin.
+* ``("ready",)`` -- bootstrap (including any injected slow start)
+  finished; dispatch may begin.
 * ``("hb",)`` -- heartbeat, every ``heartbeat_s``, from a dedicated
   daemon thread so long-running kernels never look hung.  The thread and
   the job loop share the pipe under one lock.
@@ -64,6 +65,7 @@ other worker's traffic depends on how it died.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 import pickle
@@ -76,7 +78,6 @@ from typing import Any
 __all__ = [
     "CRASH_EXITCODE",
     "WorkerConfig",
-    "reset_inherited_context",
     "worker_main",
 ]
 
@@ -113,40 +114,7 @@ class WorkerConfig:
 
     backend: str | None = None
     heartbeat_s: float = 0.25
-    warm: bool = False
-    cache_entries: int = 32
     faults: Any = None
-
-
-def reset_inherited_context(backend: str | None) -> None:
-    """Drop every inherited context-local selection; pin ``backend``.
-
-    Safe (and a no-op beyond the pin) under ``spawn``; load-bearing under
-    ``fork``, where the child starts inside a copy of the forking thread's
-    context -- see the module docstring.  Importing the faults module here
-    is deliberate: it installs the seam hooks so cooperative job deadlines
-    work in-child, while the plan/deadline ContextVars are cleared so no
-    parent-side schedule survives.
-    """
-    from ..obs import metrics as _obs_metrics
-    from ..obs import spans as _obs_spans
-    from ..parallel import backend as _backend
-    from ..parallel.machine import _ACTIVE, _DEBUG_CHECKS
-    from ..parallel.workspace import _CAP, _CONFIG
-    from . import faults as _faults
-
-    _faults._PLAN.set(None)
-    _faults._DEADLINE.set(None)
-    _backend._STACK.set(())
-    _backend._DEFAULT.set(None)
-    _ACTIVE.set(())
-    _DEBUG_CHECKS.set(None)
-    _CAP.set(None)
-    _CONFIG.set(None)
-    _obs_spans._CURRENT.set(None)
-    _obs_metrics._LABEL_CTX.set(())
-    if backend is not None:
-        _backend.set_default_backend(backend)
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +126,16 @@ def reset_inherited_context(backend: str | None) -> None:
 
 _ENGINE = None
 
+#: Artifact-cache capacity of the per-process worker engine.
+_CACHE_ENTRIES = 32
 
-def _worker_engine(cache_entries: int = 32):
+
+def _worker_engine():
     global _ENGINE
     if _ENGINE is None:
         from .engine import Engine
 
-        _ENGINE = Engine(cache_entries=cache_entries)
+        _ENGINE = Engine(cache_entries=_CACHE_ENTRIES)
     return _ENGINE
 
 
@@ -202,20 +173,22 @@ def _error_frame(job_id: int, kind: str, exc: BaseException) -> bytes:
 
 def worker_main(worker_id: int, conn, config: WorkerConfig) -> None:
     """Entry point of one shard-worker process (see the module docstring)."""
-    reset_inherited_context(config.backend)
+    contextvars.Context().run(_run_worker, worker_id, conn, config)
+
+
+def _run_worker(worker_id: int, conn, config: WorkerConfig) -> None:
+    """The worker's bootstrap and job loop, inside its fresh context."""
+    from ..obs.spans import span as obs_span
+    from ..parallel.backend import set_default_backend
+    from .faults import deadline_scope  # installs the fault seam hooks
+    from .resilience import classify
+
+    if config.backend is not None:
+        set_default_backend(config.backend)
     faults = config.faults
     if faults is not None and faults.slow_start_s > 0:
         time.sleep(faults.slow_start_s)
-
-    from ..obs.spans import span as obs_span
-    from ..parallel.backend import get_backend
-    from .faults import deadline_scope
-    from .resilience import classify
-
-    _worker_engine(config.cache_entries)
-    backend = get_backend()
-    if config.warm and hasattr(backend, "warmup"):
-        backend.warmup()
+    _worker_engine()
 
     send_lock = threading.Lock()
 

@@ -28,9 +28,7 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    current_labels,
     enabled,
-    label_scope,
     log_bounds,
     registry,
     render_prometheus,
@@ -55,9 +53,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "current_labels",
     "enabled",
-    "label_scope",
     "log_bounds",
     "registry",
     "render_prometheus",

@@ -23,12 +23,9 @@ Design rules
   inner loops.  Backend kernels are **not** instrumented at all -- the
   observability layer sits at dispatcher/phase granularity so kernel
   traces stay bit-identical.
-* **Context-local default labels.**  :func:`label_scope` pushes label
-  values (e.g. ``executor="thread"``, ``backend="numpy"``) onto a
-  ContextVar; any metric whose label set omits those names fills them
-  from the context at increment time.  Because serving jobs run in
-  context snapshots (``contextvars.copy_context``), labels set at submit
-  time follow the job onto its worker thread.
+* **Explicit labels.**  Every increment names its label values; an
+  omitted label reads as ``""``.  There is no ambient label context, so
+  a series is decided at its call site alone.
 * **Global kill switch.**  :func:`set_enabled` (or ``REPRO_OBS=0`` in the
   environment) turns every increment and span into a no-op; the serving
   benchmark measures obs-on vs obs-off and gates the overhead at <= 3%.
@@ -43,15 +40,11 @@ import bisect
 import math
 import os
 import threading
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 __all__ = [
     "enabled",
     "set_enabled",
-    "label_scope",
-    "current_labels",
     "log_bounds",
     "DEFAULT_TIME_BOUNDS",
     "Counter",
@@ -82,38 +75,6 @@ def set_enabled(on: bool) -> bool:
     previous = _ENABLED
     _ENABLED = bool(on)
     return previous
-
-
-# ---------------------------------------------------------------------------
-# Context-local default labels.
-# ---------------------------------------------------------------------------
-
-_LABEL_CTX: ContextVar[tuple[tuple[str, str], ...]] = ContextVar(
-    "repro_obs_labels", default=()
-)
-
-
-@contextmanager
-def label_scope(**labels: Any) -> Iterator[None]:
-    """Make ``labels`` the context-local defaults for the block.
-
-    Any metric increment inside the block (or inside a context snapshot
-    taken inside it) whose explicit labels omit one of these names fills
-    it from here.  Scopes nest; inner values win.  Values are coerced to
-    ``str``.
-    """
-    merged = dict(_LABEL_CTX.get())
-    merged.update({k: str(v) for k, v in labels.items()})
-    token = _LABEL_CTX.set(tuple(sorted(merged.items())))
-    try:
-        yield
-    finally:
-        _LABEL_CTX.reset(token)
-
-
-def current_labels() -> dict[str, str]:
-    """The context-local default labels active right now."""
-    return dict(_LABEL_CTX.get())
 
 
 # ---------------------------------------------------------------------------
@@ -228,20 +189,12 @@ class _Metric:
     def _new_child(self) -> Any:  # pragma: no cover - overridden
         raise NotImplementedError
 
-    def _key(self, explicit: Mapping[str, Any]) -> tuple[str, ...]:
-        """Resolve a full label-value tuple: explicit > context > ``""``."""
-        if not self.labelnames:
-            return ()
-        ctx: dict[str, str] | None = None
-        values = []
-        for ln in self.labelnames:
-            v = explicit.get(ln)
-            if v is None:
-                if ctx is None:
-                    ctx = dict(_LABEL_CTX.get())
-                v = ctx.get(ln, "")
-            values.append(str(v))
-        return tuple(values)
+    def _key(self, labels: Mapping[str, Any]) -> tuple[str, ...]:
+        """The full label-value tuple; an omitted label reads as ``""``."""
+        return tuple(
+            "" if labels.get(ln) is None else str(labels[ln])
+            for ln in self.labelnames
+        )
 
     def labels(self, **labels: Any) -> Any:
         """The child handle for one label set (create on first use).

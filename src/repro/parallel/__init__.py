@@ -49,10 +49,8 @@ from .machine import (
     untracked,
 )
 from .workspace import (
-    HotpathConfig,
     Workspace,
     hotpath,
-    hotpath_config,
     index_dtype,
     scoped_workspace,
     workspace,
@@ -136,8 +134,6 @@ __all__ = [
     "Workspace",
     "workspace",
     "scoped_workspace",
-    "HotpathConfig",
-    "hotpath_config",
     "hotpath",
     "index_dtype",
 ]

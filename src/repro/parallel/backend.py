@@ -17,8 +17,7 @@ Backends
     vectorized NumPy operation, producing bit-identical output and
     identical kernel traces to the pre-backend reproduction.  Its sort
     vocabulary routes through the shared :mod:`repro.parallel.sortlib`
-    engine (key narrowing + LSD radix) unless the ``radix_sort`` hot-path
-    flag pins the comparison-sort reference paths.
+    engine (key narrowing + LSD radix).
 ``numba``
     :class:`~repro.parallel.backend_numba.NumbaBackend`, an optional-
     dependency JIT backend that fuses the scatter/jump-heavy inner loops
@@ -90,7 +89,7 @@ import numpy as np
 
 from . import sortlib
 from .machine import KernelCategory, emit
-from .workspace import Workspace, hotpath_config
+from .workspace import Workspace
 
 __all__ = [
     "Backend",
@@ -245,11 +244,6 @@ class NumpyBackend:
         orders stay bit-identical across backends either way.
         """
         self._emit(name, "sort", weights.size)
-        if not hotpath_config().radix_sort:
-            # Reference realization -- lexsort: last key is primary.  -w
-            # ascending == w descending; ties fall back to position because
-            # lexsort is stable across keys.
-            return np.lexsort((ids, -weights))
         # Key narrowing (sortlib): one monotone u64 key replaces the two-key
         # float lexsort, then the mask-narrowed LSD radix argsorts it.  All
         # of it is realization detail inside the single emitted sort record.
@@ -266,11 +260,10 @@ class NumpyBackend:
         a *narrowing hint* that lets a backend run a counting/radix sort in
         O(n + k) instead of a comparison sort (the chain-stitch sort's keys
         are bounded by ``2 * n_edges + 1``).  One ``sort`` record of
-        ``keys.size`` either way.
+        ``keys.size`` either way; an empty bound raises ``ValueError`` at
+        every size.
         """
         self._emit(name, "sort", keys.size)
-        if not hotpath_config().radix_sort or keys.size < sortlib.RADIX_MIN_N:
-            return np.argsort(keys, kind="stable")
         # The provable bound picks the narrowest unsigned bias dtype; the
         # radix then narrows further from the runtime varying-bit mask.
         return self._argsort_unsigned(sortlib.bias_bounded_keys(
@@ -278,9 +271,9 @@ class NumpyBackend:
         ))
 
     # -- sort hooks (no records) -------------------------------------------
-    # Every sort above is written once over these two hooks; a backend
-    # specializes the key build or the unsigned argsort, never the sort
-    # methods themselves.
+    # Every sort above is written once over ``_weight_keys`` and
+    # ``_radix_passes``; a backend specializes the key build or the radix
+    # pass execution, never the sort methods or sortlib's strategy.
     def _weight_keys(self, weights) -> np.ndarray:
         """Monotone u64 keys whose stable ascending order is the canonical
         (weight descending, position ascending) order, with the sortlib
@@ -290,12 +283,16 @@ class NumpyBackend:
             workspace=self.workspace,
         )
 
+    #: ``(keys, windows) -> permutation``: executes a sortlib radix plan's
+    #: digit windows into a fresh array; ``None`` keeps sortlib's passes.
+    _radix_passes = None
+
     def _argsort_unsigned(self, keys) -> np.ndarray:
         """Stable ascending argsort of unsigned keys into a fresh,
-        caller-owned array: sortlib's mask-narrowed LSD radix (comparison
-        sort below ``RADIX_MIN_N``, identity on constant keys).  Any stable
-        realization yields the same permutation."""
-        return sortlib.stable_argsort_unsigned(keys, workspace=self.workspace)
+        caller-owned array, by the strategy sortlib plans."""
+        return sortlib.stable_argsort_unsigned(
+            keys, self.workspace, self._radix_passes
+        )
 
     def gather(self, a, idx, name: str | None = "gather") -> np.ndarray:
         self._emit(name, "gather", int(np.size(idx)))
@@ -460,18 +457,6 @@ class NumpyBackend:
         out[(bits & _F64_NOSIGN) > _F64_EXP] = _F64_FULL  # NaN sorts last
         return out
 
-    def _argsort_u64(self, keys) -> np.ndarray:
-        """Stable ascending argsort of u64 keys (internal hook, no record).
-
-        Strategy follows the active ``radix_sort`` hot-path flag exactly as
-        the sort vocabulary does; any stable realization yields the same
-        permutation, which is what keeps :meth:`spatial_partition`
-        bit-identical across backends.
-        """
-        if not hotpath_config().radix_sort:
-            return np.argsort(keys, kind="stable")
-        return self._argsort_unsigned(keys)
-
     def spatial_partition(
         self, seg, coords, n_segs: int, name: str | None = "kdtree.partition"
     ) -> np.ndarray:
@@ -487,7 +472,7 @@ class NumpyBackend:
         """
         self._emit(name, "sort", int(coords.size))
         key = self.encode_floats_ascending(coords, name=None)
-        o1 = self._argsort_u64(key)
+        o1 = self._argsort_unsigned(key)
         o2 = self.argsort_bounded(
             seg[o1], 0, max(int(n_segs) - 1, 0), name=None
         )

@@ -502,7 +502,12 @@ class NumbaBackend(NumpyBackend):
         self.jit = jit
         if not jit:
             self.name = "numba-python"
-        self._k = _jit(_PY_KERNELS) if jit else _PY_KERNELS
+        self._k = self._kernel_table(jit)
+
+    def _kernel_table(self, jit: bool) -> dict:
+        """This backend's kernel table: compiled, or the interpreted
+        definitions when ``jit`` is off."""
+        return _jit(_PY_KERNELS) if jit else _PY_KERNELS
 
     # -- fused overrides ---------------------------------------------------
     def resolve_pointer_forest(self, pointer, name: str = "cc.jump") -> np.ndarray:
@@ -541,7 +546,7 @@ class NumbaBackend(NumpyBackend):
 
     def _weight_keys(self, weights) -> np.ndarray:
         # The canonical sort's key build as one fused JIT pass; the sort
-        # itself stays the inherited ``_argsort_unsigned``.
+        # itself stays the inherited one.
         w = np.ascontiguousarray(weights, dtype=np.float64)
         key = self.take("backend.sort_key", w.size, np.uint64)
         self._k["weight_keys"](w.view(np.uint64), key)

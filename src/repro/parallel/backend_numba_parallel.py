@@ -30,16 +30,17 @@ differs, and a kernel gets a second body only then:
   pass in which every chunk owns a disjoint output range.  Order-preserving
   regardless of chunk boundaries, hence bit-identical to the sequential
   one-pass kernel.
-* ``_argsort_unsigned`` -- the sortlib LSD radix realized as a JIT
-  parallel-histogram counting sort (digit-column extraction fused into the
-  passes): per-chunk histograms in ``prange``, one exclusive scan over
-  ``(digit, chunk)``, then a stable scatter where every chunk increments
-  only its own offset row.  The inherited ``canonical_sort_order``,
-  ``argsort_bounded`` and spatial-partition sorts all reach it through
-  that one hook; planning (key encoding, varying-bit-mask narrowing, digit
-  windows) is sortlib's (:func:`~repro.parallel.sortlib.runtime_mask`,
-  :func:`~repro.parallel.sortlib.pass_windows`), so strategy selection and
-  the emitted records are byte-for-byte the shared engine's.
+* ``_radix_passes`` -- the passes of a sortlib radix plan realized as a
+  JIT parallel-histogram counting sort (digit-column extraction fused
+  into the passes): per-chunk histograms in ``prange``, one exclusive scan
+  over ``(digit, chunk)``, then a stable scatter where every chunk
+  increments only its own offset row.  The inherited
+  ``canonical_sort_order``, ``argsort_bounded`` and spatial-partition
+  sorts all reach it through that one hook; the strategy (comparison
+  sort, identity, varying-bit-mask windows) is decided by
+  :func:`~repro.parallel.sortlib.stable_argsort_unsigned`, so strategy
+  selection and the emitted records are byte-for-byte the shared
+  engine's.
 
 The maxIncident scatter (``scatter_max_pairs``) stays sequential *inside*
 a ``nogil=True`` compile: its last-write-wins / atomic-max semantics have
@@ -249,9 +250,12 @@ class NumbaParallelBackend(NumbaBackend):
         # Only the compiled kernels actually drop the GIL; the interpreted
         # parity twin is a correctness tool like ``numba-python``.
         self.releases_gil = jit
-        self._k = ({**_jit(_PY_SEQ_KERNELS, nogil=True),
-                    **_jit(_PY_PAR_KERNELS, nogil=True, parallel=True)}
-                   if jit else {**_PY_SEQ_KERNELS, **_PY_PAR_KERNELS})
+
+    def _kernel_table(self, jit: bool) -> dict:
+        if not jit:
+            return {**_PY_SEQ_KERNELS, **_PY_PAR_KERNELS}
+        return {**_jit(_PY_SEQ_KERNELS, nogil=True),
+                **_jit(_PY_PAR_KERNELS, nogil=True, parallel=True)}
 
     # -- fused overrides ---------------------------------------------------
     def expand_pool_partition(
@@ -272,20 +276,13 @@ class NumbaParallelBackend(NumbaBackend):
         return k
 
     # -- parallel-histogram LSD radix (sortlib plans, JIT passes) ----------
-    def _argsort_unsigned(self, keys: np.ndarray) -> np.ndarray:
-        """Stable ascending argsort of unsigned keys, parallel realization.
+    def _radix_passes(self, keys: np.ndarray, windows) -> np.ndarray:
+        """Execute a sortlib radix plan's digit windows, parallel realization.
 
-        Mirrors ``sortlib.stable_argsort_unsigned`` strategy for strategy
-        (comparison sort below ``RADIX_MIN_N``, identity on constant keys,
-        mask-narrowed windows otherwise); any stable realization of the
-        same windows produces the identical permutation.
+        Any stable realization of the same windows produces the identical
+        permutation; the strategy itself is sortlib's.
         """
         n = int(keys.size)
-        if n < sortlib.RADIX_MIN_N:
-            return np.argsort(keys, kind="stable")
-        windows = sortlib.pass_windows(sortlib.runtime_mask(keys))
-        if not windows:
-            return np.arange(n, dtype=np.intp)
         ping = self.take("parradix.perm0", n, np.intp)
         pong = self.take("parradix.perm1", n, np.intp)
         cur, use_perm = ping, False  # unread on the first pass: type only

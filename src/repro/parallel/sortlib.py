@@ -54,16 +54,15 @@ structure lives *inside* the one kernel record the calling vocabulary
 method emits (the trace records the logical parallel schedule, not the
 realization).
 
-**Where parallel realizations plug in.**  The planning layer
-(:func:`runtime_mask`, :func:`pass_windows`, :func:`bias_bounded_keys`) is
-public precisely so a backend can keep the engine's strategy selection and
-swap only the per-pass execution: the ``numba-parallel`` backend runs the
-same mask-narrowed windows through a JIT parallel-histogram counting sort
-(chunk-local histograms, one exclusive scan over ``(digit, chunk)``, then a
-race-free stable scatter -- see
-:mod:`repro.parallel.backend_numba_parallel`), which is deterministic and
-bit-identical to the NumPy realization because stable LSD passes admit
-exactly one output order.
+**Where parallel realizations plug in.**  The strategy is decided once,
+here: :func:`stable_argsort_unsigned` runs the :func:`plan_unsigned` plan,
+and a backend swaps only the per-pass execution by passing ``passes``.
+The ``numba-parallel`` backend runs the plan's mask-narrowed windows
+through a JIT parallel-histogram counting sort (chunk-local histograms,
+one exclusive scan over ``(digit, chunk)``, then a race-free stable
+scatter -- see :mod:`repro.parallel.backend_numba_parallel`), which is
+deterministic and bit-identical to the NumPy realization because stable
+LSD passes admit exactly one output order.
 """
 
 from __future__ import annotations
@@ -250,17 +249,22 @@ def runtime_mask(keys: np.ndarray) -> int:
     return varying_bit_mask(keys)
 
 
-def plan_unsigned(n: int, key_bits: int, mask: int | None = None) -> SortPlan:
+def plan_unsigned(
+    n: int, key_bits: int, mask: int | None = None, keys=None
+) -> SortPlan:
     """Strategy for a stable argsort of unsigned keys.
 
-    ``mask`` is the runtime varying-bit mask when known; ``None`` plans for
-    the worst case (all ``key_bits`` varying) -- what ``explain_plans``
-    reports statically.
+    ``mask`` is the varying-bit mask when known; ``keys`` has it computed
+    from the keys themselves (:func:`runtime_mask`, scanned only when the
+    radix is in play).  With neither, the plan is for the worst case (all
+    ``key_bits`` varying) -- what ``explain_plans`` reports statically.
     """
-    if mask is None:
-        mask = (1 << key_bits) - 1
     if n < RADIX_MIN_N:
         return SortPlan(n, key_bits, "argsort")
+    if keys is not None:
+        mask = runtime_mask(keys)
+    elif mask is None:
+        mask = (1 << key_bits) - 1
     windows = pass_windows(mask)
     if not windows:
         return SortPlan(n, key_bits, "identity")
@@ -320,25 +324,39 @@ def _digit_column(keys: np.ndarray, shift: int, width: int,
 
 
 def stable_argsort_unsigned(
-    keys: np.ndarray, workspace=None, mask: int | None = None
+    keys: np.ndarray, workspace=None, passes=None
 ) -> np.ndarray:
     """Stable ascending argsort of unsigned integer keys.
 
-    Bit-identical to ``np.argsort(keys, kind="stable")``; the strategy
-    (comparison sort, identity, or mask-narrowed LSD radix) follows
-    :func:`plan_unsigned`.  The result is always a fresh caller-owned
-    array; scratch comes from ``workspace`` (PR-1 reuse contract) or plain
-    allocations when none is given.
+    Bit-identical to ``np.argsort(keys, kind="stable")``; runs the
+    :func:`plan_unsigned` plan for ``keys`` (comparison sort, identity, or
+    LSD radix over the runtime-mask-narrowed windows).  ``passes(keys,
+    windows)`` executes a radix plan when given -- a backend's own pass
+    realization -- and NumPy's C counting sort per digit column
+    otherwise.  The result is always a fresh caller-owned array; scratch
+    comes from ``workspace`` (PR-1 reuse contract) or plain allocations
+    when none is given.
     """
     n = int(keys.size)
-    if n < RADIX_MIN_N:
+    plan = plan_unsigned(n, 8 * keys.dtype.itemsize, keys=keys)
+    if plan.strategy == "argsort":
         return np.argsort(keys, kind="stable")
-    if mask is None:
-        mask = runtime_mask(keys)
-    windows = pass_windows(mask)
-    if not windows:
+    if plan.strategy == "identity":
         return np.arange(n, dtype=np.intp)
+    if passes is not None:
+        return passes(keys, plan.windows)
+    return _column_passes(keys, plan.windows, workspace)
 
+
+def _column_passes(
+    keys: np.ndarray, windows: tuple[tuple[int, int], ...], workspace
+) -> np.ndarray:
+    """Stable LSD radix argsort of ``keys`` over the digit ``windows``.
+
+    Each pass is NumPy's stable C counting sort of one digit column; the
+    result is a fresh caller-owned permutation.
+    """
+    n = int(keys.size)
     ws = _scratch(workspace)
     # Materialize every pass's digit column up front (narrow sequential
     # copies); the per-pass work is then one narrow gather + one C

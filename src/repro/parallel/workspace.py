@@ -1,4 +1,4 @@
-"""Kernel workspace: reusable scratch buffers and hot-path configuration.
+"""Kernel workspace: reusable scratch buffers and the index-dtype rule.
 
 PANDORA's kernels are memory-bandwidth-bound (paper Sections 3.2-3.3): once
 every step is a map/scan/sort, the remaining wins come from not paying the
@@ -18,37 +18,32 @@ needs.  This module provides both levers for the NumPy reproduction:
   slot names; the same name may be re-``take``-n freely once the previous
   use is finished.  Buffers are returned uninitialized (like ``np.empty``).
 
-* :class:`HotpathConfig` -- the two hot-path settings callers pin: whether
-  sorts use the radix engine or the comparison-sort references, and the
-  int32 threshold.  :func:`hotpath` temporarily overrides them, which is
-  how the sort benchmarks time the reference side and how the dtype
-  property tests pin one side of an int32-vs-int64 comparison.
+* :func:`hotpath` -- pins the one hot-path setting, the context-local int32
+  threshold of :func:`index_dtype`; the dtype property tests use it to pin
+  one side of an int32-vs-int64 comparison, and ``int32_limit=0`` means
+  int64 everywhere.
 
 * :func:`index_dtype` -- the dtype-adaptivity rule: index arrays run in
   int32 whenever ``n_edges + n_vertices < int32_limit`` (default ``2**31``;
-  halving index-array memory traffic), int64 otherwise, so
-  ``int32_limit=0`` means int64 everywhere.  The public API boundary
-  (``Dendrogram.parent``, ``as_edge_arrays``) always remains int64.
+  halving index-array memory traffic), int64 otherwise.  The public API
+  boundary (``Dendrogram.parent``, ``as_edge_arrays``) always remains
+  int64.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
 
 __all__ = [
     "INT32_LIMIT",
-    "HotpathConfig",
-    "hotpath_config",
     "hotpath",
     "index_dtype",
     "ResourceError",
     "workspace_cap",
-    "set_workspace_cap",
     "workspace_cap_set",
     "Workspace",
     "workspace",
@@ -96,13 +91,6 @@ def workspace_cap() -> int | None:
     return _CAP.get()
 
 
-def set_workspace_cap(max_bytes: int | None) -> int | None:
-    """Set the context's workspace byte cap; returns the previous value."""
-    previous = _CAP.get()
-    _CAP.set(None if max_bytes is None else int(max_bytes))
-    return previous
-
-
 @contextmanager
 def workspace_cap_set(max_bytes: int | None) -> Iterator[None]:
     """Temporarily pin the workspace byte cap (context-locally)."""
@@ -113,60 +101,27 @@ def workspace_cap_set(max_bytes: int | None) -> Iterator[None]:
         _CAP.reset(token)
 
 
-@dataclass(frozen=True)
-class HotpathConfig:
-    """Hot-path settings.
-
-    Attributes
-    ----------
-    radix_sort:
-        Route the sort-vocabulary methods (canonical edge sort, bounded
-        chain-stitch sort) through :mod:`repro.parallel.sortlib`'s
-        key-narrowing + LSD-radix engine instead of the comparison-sort
-        reference realizations (two-key lexsort / stable ``np.argsort``).
-        Both paths produce bit-identical orders; the flag exists so the
-        benchmark suite can time the reference side and tests can pin it.
-    int32_limit:
-        Threshold for :func:`index_dtype`; lowered by tests to exercise the
-        int64 path on small inputs (``0`` forces int64 everywhere).
-    """
-
-    radix_sort: bool = True
-    int32_limit: int = INT32_LIMIT
-
-
-# Context-local configuration (the engine contract: no execution state is
-# process-global).  ``hotpath`` affects the calling context only, so
-# concurrent executions can pin different settings -- one thread timing the
-# comparison-sort references while another runs the radix engine -- with
-# zero cross-talk.  A context that never set a config falls back to
-# the immutable process default below.
-_DEFAULT_CONFIG = HotpathConfig()
-
-_CONFIG: ContextVar[HotpathConfig | None] = ContextVar(
-    "repro_hotpath_config", default=None
+# Context-local int32 threshold (the engine contract: no execution state is
+# process-global), so concurrent executions can pin different index-dtype
+# regimes with zero cross-talk.
+_INT32_LIMIT: ContextVar[int] = ContextVar(
+    "repro_int32_limit", default=INT32_LIMIT
 )
 
 
-def hotpath_config() -> HotpathConfig:
-    """The hot-path configuration active in the current context."""
-    cfg = _CONFIG.get()
-    return _DEFAULT_CONFIG if cfg is None else cfg
-
-
 @contextmanager
-def hotpath(**overrides) -> Iterator[HotpathConfig]:
-    """Temporarily override hot-path settings (context-locally)::
+def hotpath(*, int32_limit: int) -> Iterator[None]:
+    """Temporarily pin the int32 threshold of :func:`index_dtype`
+    (context-locally)::
 
         with hotpath(int32_limit=0):
             pandora(u, v, w)   # forced int64 internally
     """
-    config = replace(hotpath_config(), **overrides)
-    token = _CONFIG.set(config)
+    token = _INT32_LIMIT.set(int(int32_limit))
     try:
-        yield config
+        yield
     finally:
-        _CONFIG.reset(token)
+        _INT32_LIMIT.reset(token)
 
 
 def index_dtype(n_elements: int) -> np.dtype:
@@ -176,7 +131,7 @@ def index_dtype(n_elements: int) -> np.dtype:
     processed so that every index value (edge index, vertex label, dendrogram
     node id) is representable.
     """
-    if n_elements < hotpath_config().int32_limit:
+    if n_elements < _INT32_LIMIT.get():
         return np.dtype(np.int32)
     return np.dtype(np.int64)
 

@@ -150,10 +150,10 @@ def sort_edges_descending(u, v, w, n_vertices: int | None = None) -> SortedEdgeL
     # Canonical order through the backend's sort kernel: weight descending,
     # ties by input id ascending.  Every backend routes this through the
     # shared ``repro.parallel.sortlib`` engine -- one monotone u64 weight
-    # key (NumPy bit-twiddle or numba JIT build) plus a mask-narrowed LSD
-    # radix argsort; the ``radix_sort`` hot-path flag pins the two-key
-    # lexsort reference realization instead (same emitted record, same
-    # order, either way).
+    # key (NumPy bit-twiddle or numba JIT build) plus sortlib's strategy
+    # (comparison sort when small, else a mask-narrowed LSD radix); the
+    # order equals the two-key ``lexsort((ids, -w))``, which the tests
+    # keep as the oracle.
     order = backend.canonical_sort_order(w, ids, name="edges.sort_desc")
     # Cast endpoints to the adaptive dtype *before* the permutation gather:
     # the cast is a cheap sequential pass, the gather is random-access

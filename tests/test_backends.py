@@ -283,6 +283,26 @@ class TestVocabulary:
             assert np.array_equal(got_parent, ref_parent), backend.name
             assert got_trace == ref_trace, backend.name
 
+    def test_parallel_backend_compiles_only_its_own_tables(self, monkeypatch):
+        """``NumbaParallelBackend()`` builds its ``nogil``/``parallel``
+        tables and never the plain ``numba`` one (under a stub numba whose
+        ``njit`` returns the function unchanged)."""
+        import sys
+        import types
+
+        from repro.parallel import backend_numba as bn
+        from repro.parallel.backend_numba_parallel import NumbaParallelBackend
+
+        stub = types.ModuleType("numba")
+        stub.njit = lambda **options: (lambda fn: fn)
+        monkeypatch.setitem(sys.modules, "numba", stub)
+        monkeypatch.setattr(bn, "numba_available", lambda: True)
+        monkeypatch.setattr(bn, "_COMPILED", {})
+        NumbaParallelBackend()
+        assert sorted(options for _, options in bn._COMPILED) == [
+            (("nogil", True),), (("nogil", True), ("parallel", True)),
+        ]
+
 
 # ---------------------------------------------------------------------------
 # Cross-backend parity: parents and kernel traces

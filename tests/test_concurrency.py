@@ -1,7 +1,7 @@
 """Concurrent-execution parity: N threads, zero cross-talk.
 
 The engine contract (ROADMAP "Engine contract"): every piece of execution
-state -- backend selection, the cost-model stack, hot-path flags, the
+state -- backend selection, the cost-model stack, the int32 threshold, the
 debug-checks flag -- is context-local, and workspace pools are per-thread,
 so N threads running kernels concurrently produce bit-identical parents
 and per-thread kernel traces vs serial runs.  Parameterized over the
@@ -24,7 +24,7 @@ from repro.parallel import (
     debug_checks_set,
     get_backend,
     hotpath,
-    hotpath_config,
+    index_dtype,
     set_debug_checks,
     set_default_backend,
     tracking,
@@ -121,18 +121,16 @@ class TestConcurrentParity:
             assert np.array_equal(got_p, ref_p), f"thread {i} parents differ"
             assert got_t == ref_t, f"thread {i} trace differs"
 
-    def test_mixed_hotpath_configs_across_threads(self):
-        """Threads pinning *different* hot-path flag sets concurrently must
-        each reproduce their own serial run (flags are context-local)."""
-        configs = [
-            {}, {"radix_sort": False}, {"int32_limit": 0},
-            {"int32_limit": 0, "radix_sort": False},
-        ]
-        problems = _problems(len(configs), size=700)
+    def test_mixed_int32_limits_across_threads(self):
+        """Threads pinning *different* int32 thresholds concurrently must
+        each reproduce their own serial run (the threshold is
+        context-local)."""
+        limits = [INT32_LIMIT, 0, INT32_LIMIT, 0]
+        problems = _problems(len(limits), size=700)
 
         serial = []
-        for (u, v, w), overrides in zip(problems, configs):
-            with hotpath(**overrides):
+        for (u, v, w), limit in zip(problems, limits):
+            with hotpath(int32_limit=limit):
                 model = CostModel()
                 with tracking(model):
                     dend, _ = pandora(u, v, w)
@@ -142,7 +140,7 @@ class TestConcurrentParity:
             u, v, w = problems[i]
 
             def worker(barrier):
-                with hotpath(**configs[i]):
+                with hotpath(int32_limit=limits[i]):
                     model = CostModel()
                     barrier.wait()
                     with tracking(model):
@@ -152,13 +150,13 @@ class TestConcurrentParity:
             return worker
 
         concurrent = _run_threads(
-            [make_worker(i) for i in range(len(configs))], len(configs)
+            [make_worker(i) for i in range(len(limits))], len(limits)
         )
         for i, ((ref_p, ref_t), (got_p, got_t)) in enumerate(
             zip(serial, concurrent)
         ):
-            assert np.array_equal(got_p, ref_p), f"config {configs[i]}"
-            assert got_t == ref_t, f"config {configs[i]}"
+            assert np.array_equal(got_p, ref_p), f"limit {limits[i]}"
+            assert got_t == ref_t, f"limit {limits[i]}"
 
     def test_untracked_calls_do_not_pollute_tracked_thread(self):
         """The _NULL_MODEL race, exercised: untracked calls hammering away
@@ -211,21 +209,20 @@ class TestEngineServing:
     def test_jobs_inherit_submitting_context(self):
         engine = Engine()
         seen = engine.map(
-            lambda _: (get_backend().name, debug_checks(),
-                       hotpath_config().radix_sort),
+            lambda _: (get_backend().name, debug_checks(), index_dtype(1)),
             range(4),
             max_workers=4,
         )
         with use_backend("numba-python"), debug_checks_set(False), \
-                hotpath(radix_sort=False):
+                hotpath(int32_limit=0):
             seen_inner = engine.map(
                 lambda _: (get_backend().name, debug_checks(),
-                           hotpath_config().radix_sort),
+                           index_dtype(1)),
                 range(4),
                 max_workers=4,
             )
-        assert set(seen) == {("numpy", True, True)}
-        assert set(seen_inner) == {("numba-python", False, False)}
+        assert set(seen) == {("numpy", True, np.dtype(np.int32))}
+        assert set(seen_inner) == {("numba-python", False, np.dtype(np.int64))}
 
     def test_jobs_shielded_from_inherited_tracking(self):
         engine = Engine()
@@ -349,7 +346,7 @@ class TestContextLocality:
 
         def pinner(barrier):
             barrier.wait()
-            with hotpath(int32_limit=0, radix_sort=False):
+            with hotpath(int32_limit=0):
                 pinned.set()
                 assert release.wait(timeout=30)
             return None
@@ -357,13 +354,12 @@ class TestContextLocality:
         def observer(barrier):
             barrier.wait()
             assert pinned.wait(timeout=30)
-            cfg = hotpath_config()
-            seen["flags"] = (cfg.int32_limit, cfg.radix_sort)
+            seen["dtype"] = index_dtype(1)
             release.set()
             return None
 
         _run_threads([pinner, observer], 2)
-        assert seen["flags"] == (INT32_LIMIT, True)
+        assert seen["dtype"] == np.int32
 
     def test_tracking_stack_is_context_local(self):
         entered = threading.Event()

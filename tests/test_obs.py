@@ -24,7 +24,6 @@ from repro.obs import (
     clear_spans,
     current_span,
     enabled,
-    label_scope,
     log_bounds,
     recent_spans,
     record_tree,
@@ -131,16 +130,13 @@ class TestRegistry:
         assert b3[0] == pytest.approx(0.1)
         assert b3[-1] == pytest.approx(1.0)
 
-    def test_label_scope_fills_missing_labels(self):
+    def test_omitted_label_reads_as_empty(self):
         reg = MetricsRegistry()
-        c = reg.counter("scoped_total", "", ("executor",))
-        with label_scope(executor="process"):
-            c.inc()
-            c.inc(executor="thread")  # explicit beats context
-        c.inc()  # no scope: empty-string label value
-        assert reg.value("scoped_total", executor="process") == 1.0
-        assert reg.value("scoped_total", executor="thread") == 1.0
-        assert reg.value("scoped_total", executor="") == 1.0
+        c = reg.counter("partial_total", "", ("executor",))
+        c.inc()
+        c.inc(executor="thread")
+        assert reg.value("partial_total", executor="") == 1.0
+        assert reg.value("partial_total", executor="thread") == 1.0
 
     def test_disabled_increments_are_dropped(self):
         reg = MetricsRegistry()

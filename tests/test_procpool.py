@@ -27,7 +27,7 @@ from repro.engine.procpool import (
     ShardPool,
     WorkerCrashError,
 )
-from repro.engine.resilience import ServePolicy, classify
+from repro.engine.resilience import ServePolicy, classify, serving_backend
 from repro.parallel import use_backend
 
 from repro.structures.tree import random_spanning_tree
@@ -518,6 +518,30 @@ class TestWorkerHygiene:
             "plan": None, "deadline": None, "stack_depth": 0,
             "backend": "numpy",
         }
+
+    @pytest.mark.skipif("fork" not in mp.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_children_do_not_inherit_serving_override(self):
+        """A worker forked inside ``serving_backend`` serves its jobs on
+        the pool's pinned backend, not on the parent's override."""
+        with serving_backend("numba-python"):
+            pool = ShardPool(1, backend="numpy", start_method="fork", **FAST)
+            try:
+                job = pool.result(
+                    pool.submit("call", (_worker_engine_backend, None)),
+                    timeout=60.0,
+                )
+            finally:
+                pool.shutdown()
+        assert job.ok, job.error
+        assert job.value == "numpy"
+
+
+def _worker_engine_backend(_):
+    from repro.engine.worker import _worker_engine
+
+    with _worker_engine()._scope() as backend:
+        return backend.name
 
 
 def _observe_child_state(_):

@@ -252,7 +252,8 @@ class TestBreakerBoard:
         assert board.is_open("numpy", "kernel")
         assert board.backend_open("numpy")
         assert not board.backend_open("numba")
-        assert board.trips == 1
+        # Past the threshold while open: counted, but not a second trip.
+        assert not board.record_failure("numpy", "kernel", 3, 60.0)
 
     def test_success_resets(self):
         board = BreakerBoard()

@@ -24,7 +24,6 @@ from repro.parallel import (
     CostModel,
     NumpyBackend,
     get_backend,
-    hotpath,
     scoped_workspace,
     tracking,
     use_backend,
@@ -43,6 +42,21 @@ from repro.parallel.sortlib import (
 
 BACKENDS = backend_params()
 REGIMES = dtype_regime_params()
+
+
+class _ComparisonSortBackend(NumpyBackend):
+    """Oracle: the numpy backend with the comparison sorts the radix
+    engine replaced -- the two-key ``lexsort((ids, -w))`` canonical order
+    and a stable ``np.argsort`` of bounded keys -- emitting the same
+    records."""
+
+    def canonical_sort_order(self, weights, ids, name="edges.sort_desc"):
+        self._emit(name, "sort", weights.size)
+        return np.lexsort((ids, -weights))
+
+    def argsort_bounded(self, keys, min_key, max_key, name="argsort"):
+        self._emit(name, "sort", keys.size)
+        return np.argsort(keys, kind="stable")
 
 
 # ---------------------------------------------------------------------------
@@ -107,10 +121,7 @@ class TestWeightKeyEncoding:
                 ref = np.lexsort((ids, -w))
                 with use_backend(backend):
                     got = get_backend().canonical_sort_order(w, ids)
-                with use_backend(backend), hotpath(radix_sort=False):
-                    ref_path = get_backend().canonical_sort_order(w, ids)
             assert np.array_equal(got, ref), (backend, regime, n)
-            assert np.array_equal(ref_path, ref), (backend, regime, n)
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +182,13 @@ class TestStableArgsort:
         with use_backend(backend) as b:
             with pytest.raises(ValueError, match="empty key bound"):
                 b.argsort_bounded(np.zeros(RADIX_MIN_N, np.int64), 1, 0)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_bounded_rejects_empty_range_below_radix_min_n(self, backend):
+        """The bound is checked on the comparison-sort strategy too."""
+        with use_backend(backend) as b:
+            with pytest.raises(ValueError, match="empty key bound"):
+                b.argsort_bounded(np.zeros(5, np.int64), 1, 0)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_bounded_loose_bound_still_correct(self, backend, rng):
@@ -250,8 +268,8 @@ class TestArgsortBoundedVocabulary:
     def test_matches_old_lexsort_realization(self, backend, regime, rng):
         """The chain-stitch replacement: a stable single-key sort on the
         bounded chain key equals lexsort((edge_ids, key)) because edge_ids
-        is the identity -- on every backend, both dtype regimes, with and
-        without the radix engine."""
+        is the identity -- on every backend, both dtype regimes, below and
+        above ``RADIX_MIN_N``."""
         for n in (0, 1, 37, 2000, 10_000):
             with dtype_regime(regime):
                 dt = np.int32 if regime == "int32" else np.int64
@@ -263,12 +281,7 @@ class TestArgsortBoundedVocabulary:
                     got = get_backend().argsort_bounded(
                         key, -1, 2 * max(n, 1) + 1
                     )
-                with use_backend(backend), hotpath(radix_sort=False):
-                    got_ref_path = get_backend().argsort_bounded(
-                        key, -1, 2 * max(n, 1) + 1
-                    )
             assert np.array_equal(got, ref), (backend, regime, n)
-            assert np.array_equal(got_ref_path, ref), (backend, regime, n)
 
     def test_emits_single_sort_record(self, rng):
         key = rng.integers(-1, 99, size=3000)
@@ -279,6 +292,7 @@ class TestArgsortBoundedVocabulary:
         assert records == [("stitch.chain_sort", "sort", 3000)]
 
     def test_record_identical_radix_on_and_off(self, rng):
+        """The "off" side is the comparison-sort oracle backend."""
         key = rng.integers(-1, 99, size=3000)
 
         def trace():
@@ -287,7 +301,7 @@ class TestArgsortBoundedVocabulary:
                 argsort_bounded(key, -1, 99, name="stitch.chain_sort")
             return [(r.name, r.category, r.work) for r in model.records]
 
-        with hotpath(radix_sort=False):
+        with use_backend(_ComparisonSortBackend()):
             off = trace()
         assert trace() == off
 
@@ -300,6 +314,7 @@ class TestArgsortBoundedVocabulary:
 class TestPipelineInvariance:
     @pytest.mark.parametrize("regime", REGIMES)
     def test_pandora_bit_identical_radix_on_off(self, regime, rng):
+        """Parents and traces equal the comparison-sort oracle backend's."""
         from repro import pandora
         from repro.structures.tree import random_spanning_tree
 
@@ -315,7 +330,7 @@ class TestPipelineInvariance:
             u, v, w = random_spanning_tree(n, rng, skew=0.4)
             with dtype_regime(regime):
                 parent_on, trace_on = run()
-                with hotpath(radix_sort=False):
+                with use_backend(_ComparisonSortBackend()):
                     parent_off, trace_off = run()
             assert np.array_equal(parent_on, parent_off), (regime, n)
             assert trace_on == trace_off, (regime, n)

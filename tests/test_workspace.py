@@ -1,4 +1,4 @@
-"""Workspace reuse, hot-path configuration, and fast-path equivalence."""
+"""Workspace reuse, the int32 threshold, and fast-path equivalence."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from repro import pandora
 from repro.core.contraction import contract_multilevel
 from repro.core.expansion import ChainAssignment, assign_chains
 from repro.parallel import (
-    HotpathConfig,
     Workspace,
     components_of_forest,
     compress_labels,
@@ -17,7 +16,7 @@ from repro.parallel import (
     debug_checks,
     debug_checks_set,
     hotpath,
-    hotpath_config,
+    index_dtype,
     resolve_pointer_forest,
     scoped_workspace,
     workspace,
@@ -83,17 +82,18 @@ class TestWorkspace:
             assert ws.misses == misses_first
 
 
-class TestHotpathConfig:
-    def test_default_everything_on(self):
-        cfg = HotpathConfig()
-        assert cfg.radix_sort and cfg.int32_limit == INT32_LIMIT
+class TestHotpath:
+    def test_default_int32_limit(self):
+        assert index_dtype(INT32_LIMIT - 1) == np.int32
+        assert index_dtype(INT32_LIMIT) == np.int64
 
     def test_override_restores(self):
-        before = hotpath_config()
-        with hotpath(radix_sort=False) as cfg:
-            assert not cfg.radix_sort
-            assert hotpath_config() is cfg
-        assert hotpath_config() is before
+        with hotpath(int32_limit=0):
+            assert index_dtype(1) == np.int64
+            with hotpath(int32_limit=10):
+                assert index_dtype(9) == np.int32
+            assert index_dtype(9) == np.int64
+        assert index_dtype(1) == np.int32
 
 
 class TestDebugChecks:
