@@ -35,7 +35,7 @@ import os
 
 import numpy as np
 
-from conftest import scaled
+from conftest import scaled, timed_backends
 from repro.core.pandora import pandora
 from repro.parallel import (
     CostModel,
@@ -105,12 +105,9 @@ def run_backend_bench(
     u, v, w = _make_mst(n_edges)
     su, sv, sw = _make_mst(min(n_edges, TRACE_SIZE))
 
-    # ``numba-python`` is a parity/debugging tool (interpreted loops); it is
+    # The interpreted twins are parity/debugging tools; they are
     # deliberately not timed at benchmark scale.
-    timed = [
-        name for name, ok in available_backends().items()
-        if ok and name != "numba-python"
-    ]
+    timed = timed_backends()
     assert timed[0] == "numpy"
 
     # Correctness gates before timing: bit-identical parents at full size,

@@ -18,3 +18,18 @@ import os
 def scaled(n: int) -> int:
     """Apply the global benchmark size multiplier."""
     return max(2000, int(n * float(os.environ.get("REPRO_BENCH_SCALE", "1"))))
+
+
+def timed_backends() -> list[str]:
+    """Available backends worth timing: every one except the interpreted
+    twins (``jit`` is ``False``), which time the Python interpreter rather
+    than a backend; their parity is covered by the tier-1 suites."""
+    from repro.parallel import available_backends, use_backend
+
+    names = []
+    for name, ok in available_backends().items():
+        if ok:
+            with use_backend(name) as backend:
+                if getattr(backend, "jit", True) is not False:
+                    names.append(name)
+    return names

@@ -1,18 +1,32 @@
 """Condensed cluster tree (the HDBSCAN* hierarchy simplification).
 
 The single-linkage dendrogram has one internal node per MST edge; HDBSCAN*
-[9] *condenses* it with a minimum cluster size ``m``: walking top-down, a
-split is **real** only when both sides keep at least ``m`` points.  Otherwise
-the points of the small side "fall out" of the current cluster at that
-split's density ``lambda = 1 / distance``, and the cluster continues through
-the big side.  The result is a much smaller tree whose nodes are clusters and
-whose leaf records are (point, lambda) fall-outs -- the input to stability
-computation and flat-cluster extraction.
+[9] *condenses* it with a minimum cluster size ``m``: a split is **real**
+only when both sides keep at least ``m`` points.  Otherwise the points of
+the small side "fall out" of the current cluster at that split's density
+``lambda = 1 / distance``, and the cluster continues through the big side.
+The result is a much smaller tree whose nodes are clusters and whose leaf
+records are (point, lambda) fall-outs -- the input to stability computation
+and flat-cluster extraction.
 
-The walk touches each dendrogram node a bounded number of times: every point
-falls out exactly once, and subtree enumeration only happens on the *small*
-side of a split, so total work is O(n log n) in the worst case and O(n) on
-the skewed hierarchies the paper targets.
+Once subtree sizes are known, every condensed-tree fact is a local rule on
+the parent array plus a nearest-ancestor query.  Call a node *big* when its
+subtree holds at least ``m`` points:
+
+* a cluster is born at node 0 and at both children of every node whose two
+  children are both big;
+* a node belongs to its nearest cluster-birth ancestor-or-self;
+* a point falls out at its lowest big proper ancestor, at that node's
+  lambda (node 0 when even node 0 is small);
+* a cluster dies at its one owned node whose two children are both big or
+  both small.
+
+Both nearest-ancestor queries are answered by the pointer doubling that
+contraction uses (:func:`~repro.parallel.resolve_pointer_forest`), so the
+work is O(n log h) bulk gathers for a dendrogram of height h.  Two steps
+stay sequential: the subtree sizes (one pass over the edge nodes, in
+:meth:`~repro.structures.dendrogram.Dendrogram.subtree_sizes`) and the
+cluster numbering (one loop over clusters, not nodes).
 """
 
 from __future__ import annotations
@@ -21,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..parallel import resolve_pointer_forest
 from ..structures.dendrogram import Dendrogram
 
 __all__ = ["CondensedTree", "condense_tree"]
@@ -30,9 +45,12 @@ __all__ = ["CondensedTree", "condense_tree"]
 class CondensedTree:
     """Cluster hierarchy with per-point fall-out records.
 
-    Clusters are numbered in creation (BFS) order; cluster 0 is the root
-    (all points).  ``point_cluster/point_lambda`` record, for every data
-    point, the cluster it fell out of and at which lambda.
+    Clusters are numbered as a depth-first top-down walk creates them:
+    cluster 0 is the root (all points), every real split takes the next
+    two ids (smaller dendrogram node first), and the walk explores the
+    second of the newest pair first.  Parents precede children.
+    ``point_cluster/point_lambda`` record, for every data point, the
+    cluster it fell out of and at which lambda.
     """
 
     n_points: int
@@ -86,9 +104,6 @@ def condense_tree(dendrogram: Dendrogram, min_cluster_size: int) -> CondensedTre
     nv = dendrogram.n_vertices
     m = min_cluster_size
 
-    point_cluster = np.zeros(nv, dtype=np.int64)
-    point_lambda = np.zeros(nv)
-
     if n == 0:
         return CondensedTree(
             n_points=nv,
@@ -97,88 +112,69 @@ def condense_tree(dendrogram: Dendrogram, min_cluster_size: int) -> CondensedTre
             birth_lambda=np.zeros(1),
             death_lambda=np.zeros(1),
             cluster_size=np.array([nv], dtype=np.int64),
-            point_cluster=point_cluster,
-            point_lambda=point_lambda,
+            point_cluster=np.zeros(nv, dtype=np.int64),
+            point_lambda=np.zeros(nv),
         )
 
     w = dendrogram.edges.w
     with np.errstate(divide="ignore"):
         lam = np.where(w > 0, 1.0 / w, np.inf)
 
-    # children of each edge node (exactly two; vertex nodes are n..n+nv-1)
-    child_a = np.full(n, -1, dtype=np.int64)
-    child_b = np.full(n, -1, dtype=np.int64)
-    pr = dendrogram.parent
-    order = np.argsort(pr[1:], kind="stable") + 1  # skip the root (parent -1)
-    sp = pr[order]
-    # order is grouped by parent; each parent owns exactly two consecutive ids
-    child_a[sp[0::2]] = order[0::2]
-    child_b[sp[1::2]] = order[1::2]
+    # Edge nodes only: a big node's children are edge nodes (vertex nodes
+    # hold one point < m), and parent[k] < k keeps every pointer in range.
+    parent = dendrogram.edge_parents()
+    node = np.arange(n)
+    sizes = dendrogram.subtree_sizes()
+    big = sizes >= m
+    n_big = np.bincount(parent[1:][big[1:]], minlength=n)  # big children
+    walked = big | (node == 0)  # the nodes some cluster passes through
+    dies = np.flatnonzero(walked & (n_big != 1))
+    birth = np.ones(n, dtype=bool)
+    birth[1:] = n_big[parent[1:]] == 2
 
-    sizes_edge = dendrogram.subtree_sizes()
+    owner = resolve_pointer_forest(
+        np.where(birth, node, parent), name="condense.owner"
+    ).copy()  # the next call may reuse the buffer this one returned
+    fall = resolve_pointer_forest(
+        np.where(walked, node, parent), name="condense.fall"
+    )[dendrogram.vertex_parents()]
 
-    def size_of(node: int) -> int:
-        return int(sizes_edge[node]) if node < n else 1
+    # Number clusters as a top-down walk creates them: a pair of ids per
+    # split, smaller node first, the last-created cluster explored first.
+    heads = np.flatnonzero(birth)  # birth node per cluster rank
+    kids = heads[1:]
+    rank = np.cumsum(birth) - 1
+    up = rank[owner[parent[kids]]]  # parent rank of each non-root rank
+    pairs = np.argsort(up, kind="stable") + 1  # siblings adjacent, in order
+    at = np.full(heads.size, -1, dtype=np.int64)  # a rank's pair in pairs
+    at[up[pairs[0::2] - 1]] = np.arange(0, pairs.size, 2)
+    pairs, at = pairs.tolist(), at.tolist()
+    order, stack = [0], [0]
+    while stack:
+        j = at[stack.pop()]
+        if j >= 0:
+            order += pairs[j:j + 2]
+            stack += pairs[j:j + 2]
+    cid = np.empty(heads.size, dtype=np.int64)
+    cid[order] = np.arange(heads.size)
+    cluster_of = cid[rank[owner]]  # per node, its owning cluster's id
 
-    def points_under(node: int) -> list[int]:
-        """All data points in the dendrogram subtree of ``node``."""
-        out: list[int] = []
-        stack = [node]
-        while stack:
-            x = stack.pop()
-            if x >= n:
-                out.append(x - n)
-            else:
-                stack.append(int(child_a[x]))
-                stack.append(int(child_b[x]))
-        return out
-
-    cluster_parent: list[int] = [-1]
-    birth_lambda: list[float] = [0.0]
-    death_lambda: list[float] = [0.0]
-    cluster_size: list[int] = [nv]
-
-    def fall_out(node: int, cluster: int, lam_val: float) -> None:
-        for p in points_under(node):
-            point_cluster[p] = cluster
-            point_lambda[p] = lam_val
-
-    # BFS over (edge node, owning cluster)
-    queue: list[tuple[int, int]] = [(dendrogram.root, 0)]
-    while queue:
-        cur, c = queue.pop()
-        while True:
-            lam_c = float(lam[cur])
-            ca, cb = int(child_a[cur]), int(child_b[cur])
-            sa, sb = size_of(ca), size_of(cb)
-            if sa >= m and sb >= m:
-                death_lambda[c] = lam_c
-                for ch, s in ((ca, sa), (cb, sb)):
-                    cid = len(cluster_parent)
-                    cluster_parent.append(c)
-                    birth_lambda.append(lam_c)
-                    death_lambda.append(lam_c)  # updated when it dies
-                    cluster_size.append(s)
-                    queue.append((ch, cid))
-                break
-            if sa >= m or sb >= m:
-                small, big = (cb, ca) if sa >= m else (ca, cb)
-                fall_out(small, c, lam_c)
-                cur = big  # size >= m >= 2, necessarily an edge node
-                continue
-            # both sides below m: the cluster dissolves here
-            fall_out(ca, c, lam_c)
-            fall_out(cb, c, lam_c)
-            death_lambda[c] = lam_c
-            break
+    cluster_parent = np.full(heads.size, -1, dtype=np.int64)
+    cluster_parent[cluster_of[kids]] = cluster_of[parent[kids]]
+    birth_lambda = np.zeros(heads.size)
+    birth_lambda[cluster_of[kids]] = lam[parent[kids]]
+    death_lambda = np.zeros(heads.size)
+    death_lambda[cluster_of[dies]] = lam[dies]
+    cluster_size = np.full(heads.size, nv, dtype=np.int64)
+    cluster_size[cluster_of[kids]] = sizes[kids]
 
     return CondensedTree(
         n_points=nv,
         min_cluster_size=m,
-        cluster_parent=np.asarray(cluster_parent, dtype=np.int64),
-        birth_lambda=np.asarray(birth_lambda),
-        death_lambda=np.asarray(death_lambda),
-        cluster_size=np.asarray(cluster_size, dtype=np.int64),
-        point_cluster=point_cluster,
-        point_lambda=point_lambda,
+        cluster_parent=cluster_parent,
+        birth_lambda=birth_lambda,
+        death_lambda=death_lambda,
+        cluster_size=cluster_size,
+        point_cluster=cluster_of[fall],
+        point_lambda=lam[fall],
     )

@@ -65,10 +65,6 @@ def dbscan_star_labels(
                                        return_inverse=True)
     sizes = np.bincount(comp_inverse)
     keep = sizes >= min_cluster_size
-    kept_comp = comp_ids[keep]
-    remap = {int(c): i for i, c in enumerate(kept_comp)}
-    core_idx = np.nonzero(is_core)[0]
-    for idx, comp in zip(core_idx, components[is_core]):
-        lab = remap.get(int(comp), -1)
-        labels[idx] = lab
+    lookup = np.where(keep, np.cumsum(keep) - 1, -1)  # kept -> 0..k-1
+    labels[is_core] = lookup[comp_inverse]
     return labels

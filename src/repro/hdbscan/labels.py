@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..parallel import resolve_pointer_forest
 from .condensed import CondensedTree
 
 __all__ = ["FlatClustering", "extract_labels"]
@@ -52,14 +53,13 @@ def extract_labels(
     ncl = tree.n_clusters
     parent = tree.cluster_parent
 
-    # For every cluster, its lowest selected ancestor-or-self (-1 if none);
-    # parents precede children, so a forward pass suffices.
-    owner = np.full(ncl, -1, dtype=np.int64)
-    for c in range(ncl):
-        if selected[c]:
-            owner[c] = c
-        elif parent[c] >= 0:
-            owner[c] = owner[parent[c]]
+    # For every cluster, its lowest selected ancestor-or-self (-1 if none),
+    # by pointer doubling over the cluster tree.
+    nearest = resolve_pointer_forest(
+        np.where(selected | (parent < 0), np.arange(ncl), parent),
+        name="labels.owner",
+    )
+    owner = np.where(selected[nearest], nearest, -1)
 
     sel_ids = np.nonzero(selected)[0]
     label_of_cluster = np.full(ncl, -1, dtype=np.int64)

@@ -6,12 +6,16 @@ bottom-up, keeping a cluster if its own stability beats the combined
 stability of its selected descendants, otherwise propagating the
 descendants' total upward.  The root is excluded unless
 ``allow_single_cluster`` (matching the reference implementation's default).
+A kept cluster below another kept one is then dropped; each cluster's
+nearest selected ancestor comes from pointer doubling over the cluster
+tree.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..parallel import resolve_pointer_forest
 from .condensed import CondensedTree
 
 __all__ = ["select_clusters"]
@@ -22,41 +26,32 @@ def select_clusters(
 ) -> np.ndarray:
     """Boolean selection mask over the condensed tree's clusters."""
     ncl = tree.n_clusters
-    stab = tree.stabilities()
     parent = tree.cluster_parent
-
-    selected = np.zeros(ncl, dtype=bool)
-    subtree_val = np.zeros(ncl)
-
-    is_leaf = np.ones(ncl, dtype=bool)
     valid = parent >= 0
+    is_leaf = np.ones(ncl, dtype=bool)
     is_leaf[parent[valid]] = False
 
     # Children are always created after parents, so reverse id order is
-    # bottom-up.
-    child_sum = np.zeros(ncl)
+    # bottom-up.  One pass over clusters, on Python lists.
+    stab, up = tree.stabilities().tolist(), parent.tolist()
+    leaf = is_leaf.tolist()
+    keep = [False] * ncl
+    child_sum = [0.0] * ncl
     for c in range(ncl - 1, -1, -1):
-        if is_leaf[c]:
-            selected[c] = True
-            subtree_val[c] = stab[c]
-        elif stab[c] >= child_sum[c]:
-            selected[c] = True
-            subtree_val[c] = stab[c]
-        else:
-            selected[c] = False
-            subtree_val[c] = child_sum[c]
-        p = parent[c]
-        if p >= 0:
-            child_sum[p] += subtree_val[c]
+        keep[c] = leaf[c] or stab[c] >= child_sum[c]
+        if up[c] >= 0:
+            child_sum[up[c]] += stab[c] if keep[c] else child_sum[c]
+    selected = np.array(keep, dtype=bool)
 
     if not allow_single_cluster:
         selected[0] = False
 
-    # Drop any cluster with a selected ancestor (top-down pass; parents have
-    # smaller ids).
-    has_selected_ancestor = np.zeros(ncl, dtype=bool)
-    for c in range(1, ncl):
-        p = parent[c]
-        has_selected_ancestor[c] = has_selected_ancestor[p] or selected[p]
+    # Drop any cluster with a selected proper ancestor: pointer-double to
+    # each cluster's nearest selected ancestor-or-self (or the root).
+    nearest = resolve_pointer_forest(
+        np.where(selected | ~valid, np.arange(ncl), parent),
+        name="select.ancestor",
+    )
+    has_selected_ancestor = valid & selected[nearest[parent]]
     selected &= ~has_selected_ancestor
     return selected

@@ -285,17 +285,16 @@ class Dendrogram:
         """Number of data points under each edge node.
 
         Exploits ``parent[k] < k``: accumulating from the largest edge index
-        downward visits children before parents.
+        downward visits children before parents.  The one sequential pass
+        left in extraction; it runs over Python lists, not NumPy scalars.
         """
-        sizes = np.zeros(self.n_edges, dtype=np.int64)
         vp = self.vertex_parents()
-        np.add.at(sizes, vp[vp >= 0], 1)
-        ep = self.edge_parents()
+        sizes = np.bincount(vp[vp >= 0], minlength=self.n_edges).tolist()
+        ep = self.edge_parents().tolist()
         for k in range(self.n_edges - 1, 0, -1):
-            p = ep[k]
-            if p >= 0:
-                sizes[p] += sizes[k]
-        return sizes
+            if ep[k] >= 0:
+                sizes[ep[k]] += sizes[k]
+        return np.array(sizes, dtype=np.int64)
 
     def to_newick(self, leaf_names: list[str] | None = None,
                   precision: int = 6) -> str:
