@@ -2,11 +2,11 @@
 
 This reproduction executes the paper's kernels as vectorized NumPy passes
 and records the kernel trace (category + work per launch).  This example
-shows that machinery directly: build a dendrogram under a cost model, then
-price the identical kernel schedule on the calibrated EPYC-7A53 / MI250X /
-A100 specs and at the paper's full dataset scale -- the mechanism behind
-every GPU-shaped figure in the benchmark suite (see
-docs/architecture.md).
+shows that machinery directly: build a dendrogram inside
+``with tracking(model):`` (the one way to record a trace), then price the
+identical kernel schedule on the calibrated EPYC-7A53 / MI250X / A100
+specs and at the paper's full dataset scale -- the mechanism behind every
+GPU-shaped figure in the benchmark suite (see docs/architecture.md).
 
 Run:  python examples/device_model.py
 """
@@ -15,7 +15,7 @@ Run:  python examples/device_model.py
 from repro import pandora
 from repro.data import load_dataset
 from repro.parallel import CostModel, DEVICES
-from repro.parallel.machine import scale_trace
+from repro.parallel.machine import scale_trace, tracking
 from repro.perf import mpoints_per_sec
 from repro.spatial import emst
 
@@ -26,7 +26,8 @@ def main() -> None:
     mst = emst(points, mpts=2)
 
     model = CostModel()
-    dend, stats = pandora(mst.u, mst.v, mst.w, n, cost_model=model)
+    with tracking(model):
+        dend, stats = pandora(mst.u, mst.v, mst.w, n)
     print(f"dendrogram built: skewness {dend.skewness:.0f}, "
           f"{model.kernel_count()} kernels recorded, "
           f"{model.total_work():,} elements of work")

@@ -186,7 +186,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import threading
 
     from .engine import Engine
-    from .engine.faults import FaultPlan, SiteFaults, WorkerFaults
+    from .engine.faults import FaultPlan, WorkerFaults
     from .engine.resilience import ServePolicy
     from .perf import render_table
     from .structures import random_spanning_tree
@@ -247,10 +247,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     try:
         if args.fault_rate > 0:
-            spec = SiteFaults(p_transient=args.fault_rate)
-            plan = FaultPlan(
-                {site: spec for site in ("kernel", "sort", "workspace")},
-                seed=args.fault_seed, budget=args.fault_budget,
+            plan = FaultPlan.transient_everywhere(
+                args.fault_rate, seed=args.fault_seed, budget=args.fault_budget,
             )
             with plan.active():
                 results = engine.fit_many(problems, max_workers=args.workers,
@@ -439,7 +437,7 @@ def cmd_devices(args: argparse.Namespace) -> int:
     ))
 
     if args.explain_sort:
-        from .parallel.sortlib import explain_plans
+        from .parallel.sortlib import RADIX_KEYS_PER_PASS, explain_plans
 
         sort_rows = [
             [row["site"], row["keys"], row["strategy"]]
@@ -449,8 +447,9 @@ def cmd_devices(args: argparse.Namespace) -> int:
             ["sort site", "keys", f"strategy at n={n:,}"],
             sort_rows,
             title="Sort-engine strategy selection (sortlib; worst-case "
-                  "plans, the runtime varying-bit mask can only drop "
-                  "passes)",
+                  "plans: the runtime varying-bit mask can only drop "
+                  "passes, and radix needs "
+                  f"{RADIX_KEYS_PER_PASS} keys per pass)",
         ))
     return 0
 

@@ -113,7 +113,8 @@ def pandora_trace(
 ) -> CostModel:
     """Kernel trace of one PANDORA run (phases sort/contraction/expansion)."""
     model = CostModel()
-    pandora(u, v, w, n_vertices, cost_model=model)
+    with tracking(model):
+        pandora(u, v, w, n_vertices)
     return model
 
 

@@ -17,11 +17,12 @@ immutable artifacts:
 
 ``pandora()`` executes the default plan and returns the
 :class:`~repro.structures.dendrogram.Dendrogram` plus a
-:class:`PandoraStats` with per-bucket wall times (and per-phase detail);
-pass a :class:`~repro.parallel.machine.CostModel` to also capture the
-kernel trace for device-model pricing.  Untracked calls use a fresh
-per-call throwaway sink, so concurrent executions never share mutable
-accounting state (the old module-level ``_NULL_MODEL`` sink was a race).
+:class:`PandoraStats` with per-bucket wall times (and per-phase detail).
+Run it inside :func:`~repro.parallel.machine.tracking` to capture the
+kernel trace for device-model pricing.  Untracked calls record into a
+fresh call-local model, so PANDORA's phase spans always carry their
+``kernels``/``work`` labels and concurrent executions never share mutable
+accounting state.
 
 ``dendrogram_single_level()`` is the Section-3.3.1 ablation (one contraction
 level, bottom-up walks in the contracted dendrogram), built from the default
@@ -31,6 +32,7 @@ plan with its contraction and expansion phases replaced and run through
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Mapping
@@ -159,7 +161,6 @@ def pandora(
     v,
     w,
     n_vertices: int | None = None,
-    cost_model: CostModel | None = None,
     plan: Plan | None = None,
 ) -> tuple[Dendrogram, PandoraStats]:
     """Construct the single-linkage dendrogram of an MST with PANDORA.
@@ -170,12 +171,6 @@ def pandora(
         MST edges (any order) as endpoint and weight arrays.
     n_vertices:
         Ambient vertex count; inferred from the endpoints when omitted.
-    cost_model:
-        Optional :class:`CostModel` that receives the kernel trace, tagged
-        with phases ``sort`` / ``contraction`` / ``expansion``.  When
-        omitted, an enclosing :func:`~repro.parallel.machine.tracking`
-        context's model is used if one exists; otherwise a fresh per-call
-        throwaway sink (there is deliberately no shared fallback sink).
     plan:
         Optional recomposed :class:`~repro.engine.plan.Plan`; defaults to
         :func:`pandora_plan`.
@@ -183,6 +178,10 @@ def pandora(
     Returns
     -------
     (dendrogram, stats)
+
+    The kernel trace goes to the model of an enclosing
+    :func:`~repro.parallel.machine.tracking` block, tagged with the
+    buckets ``sort`` / ``contraction`` / ``expansion``.
 
     Raises
     ------
@@ -192,14 +191,12 @@ def pandora(
         is a *permanent* classification: the serving layer never
         retries it (see :mod:`repro.engine.resilience`).
     """
-    if cost_model is None:
-        # Enclosing tracking() context if any, else a per-call sink so
-        # phases can always be tagged without shared mutable state.
-        cost_model = active_model() or CostModel()
     inputs = {"u": u, "v": v, "w": w, "n_vertices": n_vertices}
-    with tracking(cost_model):
+    # A call-local model when nobody is tracking, so the phase spans can
+    # always count their kernels without shared mutable state.
+    with nullcontext() if active_model() is not None else tracking(CostModel()):
         try:
-            result = (plan or pandora_plan()).execute(inputs, cost_model)
+            result = (plan or pandora_plan()).execute(inputs)
         except InvalidGraphError:
             raise
         except (AssertionError, IndexError, ValueError) as exc:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -135,14 +135,6 @@ class ArtifactCache:
         finally:
             if evicted:
                 _OBS_EVICTION.inc(evicted)
-
-    def get_or_compute(self, key: tuple, compute: Callable[[], Any]) -> Any:
-        """Cached value for ``key``, computing (outside the lock) on miss."""
-        sentinel = object()
-        value = self.get(key, sentinel)
-        if value is not sentinel:
-            return value
-        return self.put(key, compute())
 
     def clear(self) -> None:
         with self._lock:

@@ -58,20 +58,20 @@ from ..core.pandora import PandoraStats, pandora
 from ..hdbscan.pipeline import HDBSCANResult, hdbscan, hdbscan_plan
 from ..obs.metrics import REGISTRY as _REGISTRY
 from ..obs.metrics import enabled as _obs_enabled
+from ..obs.spans import NULL_SPAN
 from ..obs.spans import Span as _ObsSpan
 from ..obs.spans import new_id as _new_id
 from ..obs.spans import record_tree as _record_tree
 from ..obs.spans import recent_spans as _recent_spans
 from ..obs.spans import span as _obs_span
 from ..parallel.backend import Backend, get_backend, use_backend
-from ..parallel.connected import compress_labels, connected_components
-from ..parallel.machine import CostModel, active_model, untracked
+from ..parallel.machine import active_model, untracked
 from ..parallel.workspace import index_dtype
 from ..spatial.emst import EMSTResult, KNNArtifact, emst, knn_columns, knn_graph
 from ..structures.dendrogram import Dendrogram
 from ..structures.edgelist import as_edge_arrays
 from .cache import ArtifactCache, content_key
-from .plan import Phase, Plan
+from .plan import Phase
 from .procpool import PoisonedJobError, RejectedError, ShardPool
 from .resilience import (
     BreakerBoard,
@@ -124,42 +124,9 @@ class DendrogramHandle:
         return self.dendrogram.cut(threshold)
 
     def cut_many(self, thresholds: Sequence[float]) -> np.ndarray:
-        """Flat clusterings at many thresholds in one incremental pass.
-
-        Returns a ``(len(thresholds), n_vertices)`` label matrix; row ``i``
-        equals ``cut(thresholds[i])`` exactly.  Thresholds are processed in
-        ascending order and the connected-components state is carried
-        between them, so each additional cut costs only the *newly* merged
-        edges plus one relabeling -- the naive loop rescans every edge
-        below each threshold.  A NaN threshold raises ``ValueError``, as
-        :meth:`cut` does.
-        """
-        dend = self.dendrogram
-        nv = dend.n_vertices
-        thresholds = np.asarray(list(thresholds), dtype=np.float64)
-        if np.isnan(thresholds).any():
-            raise ValueError("cut thresholds must not be NaN")
-        out = np.empty((thresholds.size, nv), dtype=np.int64)
-        if thresholds.size == 0:
-            return out
-        # Canonical order is weight-descending; reverse for an ascending
-        # sweep (ties within equal weights are order-independent: unions
-        # commute and labels stay min-vertex-id representatives).
-        w_asc = dend.edges.w[::-1]
-        u_asc = dend.edges.u[::-1]
-        v_asc = dend.edges.v[::-1]
-        labels = np.arange(nv, dtype=np.int64)
-        pos = 0
-        for t in np.argsort(thresholds, kind="stable"):
-            hi = int(np.searchsorted(w_asc, thresholds[t], side="right"))
-            if hi > pos:
-                eu = labels[u_asc[pos:hi]]
-                ev = labels[v_asc[pos:hi]]
-                merged = connected_components(nv, np.stack([eu, ev], axis=1))
-                labels = merged[labels]
-                pos = hi
-            out[t] = compress_labels(labels)[0]
-        return out
+        """Flat clusterings at many thresholds in one incremental pass
+        (:meth:`~repro.structures.dendrogram.Dendrogram.cut_many`)."""
+        return self.dendrogram.cut_many(thresholds)
 
 
 def _fit_problem(problem: Sequence[Any]) -> tuple:
@@ -411,16 +378,13 @@ class Engine:
         v,
         w,
         n_vertices: int | None = None,
-        cost_model: CostModel | None = None,
-        plan: Plan | None = None,
     ) -> DendrogramHandle:
         """Build (or fetch from cache) the dendrogram of an MST.
 
         Semantics are identical to :func:`repro.core.pandora.pandora`; the
-        result is cached by input *content*.  Calls that request a kernel
-        trace (an explicit ``cost_model`` or an enclosing ``tracking``
-        context) bypass the cache, since a cache hit runs no kernels and
-        would otherwise silently record an empty trace.
+        result is cached by input *content*.  Calls inside a
+        :func:`~repro.parallel.machine.tracking` block bypass the cache
+        (see :meth:`_cached_artifact`).
 
         Parameters
         ----------
@@ -429,12 +393,6 @@ class Engine:
             accepted by :func:`~repro.structures.edgelist.as_edge_arrays`.
         n_vertices:
             Vertex count; ``None`` infers ``max(u, v) + 1``.
-        cost_model:
-            Optional :class:`~repro.parallel.machine.CostModel` sink for
-            the run's kernel records (forces a cache bypass).
-        plan:
-            Optional custom :class:`~repro.engine.plan.Plan` replacing the
-            default PANDORA pipeline (forces a cache bypass).
 
         Returns
         -------
@@ -450,12 +408,6 @@ class Engine:
         _M_CALLS.inc(method="fit")
         with self._scope() as backend, \
                 _obs_span("fit", backend=backend.name) as sp:
-            if plan is not None or cost_model is not None or active_model() is not None:
-                sp.annotate(cache="bypass")
-                dend, stats = pandora(
-                    u, v, w, n_vertices, cost_model=cost_model, plan=plan
-                )
-                return DendrogramHandle(dend, stats)
             ua, va, wa = as_edge_arrays(u, v, w)
             if n_vertices is None:
                 n_vertices = int(
@@ -466,23 +418,31 @@ class Engine:
                 "fit", ua, va, wa, int(n_vertices),
                 str(index_dtype(ua.size + int(n_vertices))),
             )
-            cached = self.cache.get(key)
-            if cached is not None:
-                sp.annotate(cache="hit")
-                return cached
-            sp.annotate(cache="miss")
-            dend, stats = pandora(ua, va, wa, n_vertices)
-            return self.cache.put(key, DendrogramHandle(dend, stats))
+            return self._cached_artifact(
+                key, lambda: DendrogramHandle(*pandora(ua, va, wa, n_vertices)),
+                sp,
+            )
 
     # -- spatial artifacts -------------------------------------------------
-    def _cached_artifact(self, key: tuple, compute):
-        """Cache lookup honoring the trace-bypass rule: when a kernel trace
-        is being recorded, a cache hit would silently record nothing, so
-        tracked calls always compute live (and do not publish the result,
-        which under weight ties could diverge from the cached one)."""
+    def _cached_artifact(self, key: tuple, compute, sp=NULL_SPAN):
+        """``compute()``'s artifact for ``key``, through the cache.
+
+        A call inside :func:`~repro.parallel.machine.tracking` computes
+        live and publishes nothing: a cache hit runs no kernels and would
+        silently record an empty trace, and under weight ties a tracked
+        result could diverge from the cached one.  ``sp`` receives the
+        ``cache=hit|miss|bypass`` label.
+        """
         if active_model() is not None:
+            sp.annotate(cache="bypass")
             return compute()
-        return self.cache.get_or_compute(key, compute)
+        missing = object()
+        value = self.cache.get(key, missing)
+        if value is not missing:
+            sp.annotate(cache="hit")
+            return value
+        sp.annotate(cache="miss")
+        return self.cache.put(key, compute())
 
     def knn(
         self,
@@ -555,7 +515,6 @@ class Engine:
         dendrogram_algorithm: str = "pandora",
         allow_single_cluster: bool = False,
         leaf_size: int = 96,
-        cost_model: CostModel | None = None,
     ) -> list[HDBSCANResult]:
         """HDBSCAN* at several ``mpts`` values with shared spatial work.
 
@@ -609,7 +568,7 @@ class Engine:
                         pts, mpts=m, min_cluster_size=min_cluster_size,
                         dendrogram_algorithm=dendrogram_algorithm,
                         allow_single_cluster=allow_single_cluster,
-                        leaf_size=leaf_size, cost_model=cost_model, plan=plan,
+                        leaf_size=leaf_size, plan=plan,
                     )
                     sp.annotate(n_clusters=res.n_clusters)
                     results.append(res)

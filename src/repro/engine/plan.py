@@ -22,8 +22,10 @@ Contracts
   and cost-model attribution.  Several phases may share a bucket: PANDORA's
   final chain-stitch sort is accounted to the ``sort`` bucket together with
   the initial edge sort, exactly as the paper's phase breakdown groups them
-  (Section 6.4.3).  Kernel records emitted inside a phase are tagged with
-  the bucket via ``CostModel.phase``.
+  (Section 6.4.3).  When a kernel trace is being recorded, records emitted
+  inside a phase are tagged with the bucket in the active model (the
+  innermost tag wins, so PANDORA nested in HDBSCAN*'s ``dendrogram`` phase
+  keeps its own buckets).
 * **Spans.**  When a request span is open, each phase runs inside its own
   ``phase:<name>`` span, which is the current span while the phase runs:
   a plan executed inside a phase (PANDORA inside HDBSCAN*'s
@@ -45,7 +47,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 from ..obs.metrics import REGISTRY as _REGISTRY
 from ..obs.spans import current_span as _current_span
 from ..obs.spans import span as _span
-from ..parallel.machine import CostModel
+from ..parallel.machine import active_model
 
 __all__ = ["Phase", "Plan", "PlanError", "PhaseTiming", "PlanResult"]
 
@@ -156,21 +158,18 @@ class Plan:
         return Plan(self._phases + phases)
 
     # -- execution ---------------------------------------------------------
-    def execute(
-        self,
-        inputs: Mapping[str, Any],
-        model: CostModel | None = None,
-    ) -> PlanResult:
+    def execute(self, inputs: Mapping[str, Any]) -> PlanResult:
         """Run the phases in order over ``inputs``.
 
-        ``model``, when given, receives each phase's kernel records tagged
-        with the phase bucket (the caller is responsible for also making it
-        the *tracked* model via ``tracking`` so primitives emit into it).
+        When a kernel trace is being recorded (an enclosing
+        :func:`~repro.parallel.machine.tracking` block), each phase's
+        records are tagged with the phase bucket in the active model.
         """
         artifacts: dict[str, Any] = dict(inputs)
         view = MappingProxyType(artifacts)
         timings: list[PhaseTiming] = []
         request_span = _current_span()
+        model = active_model()
         for phase in self._phases:
             missing = [r for r in phase.requires if r not in artifacts]
             if missing:

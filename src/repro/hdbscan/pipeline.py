@@ -33,7 +33,6 @@ from ..core.baselines.bottomup import dendrogram_bottomup
 from ..core.baselines.mixed import dendrogram_mixed
 from ..core.pandora import PandoraStats, pandora
 from ..engine.plan import Phase, Plan
-from ..parallel.machine import CostModel
 from ..spatial.emst import EMSTResult, emst, knn_columns, knn_graph
 from ..structures.dendrogram import Dendrogram
 from .condensed import CondensedTree, condense_tree
@@ -96,7 +95,7 @@ def _dendrogram_phase(a: Mapping[str, Any]) -> dict[str, Any]:
     mst, n = a["mst"], a["points"].shape[0]
     build = DENDROGRAM_ALGORITHMS[a["dendrogram_algorithm"]]
     if build is pandora:
-        dend, stats = pandora(mst.u, mst.v, mst.w, n, cost_model=a["cost_model"])
+        dend, stats = pandora(mst.u, mst.v, mst.w, n)
     else:
         dend, stats = build(mst.u, mst.v, mst.w, n), None
     return {"dendrogram": dend, "pandora_stats": stats}
@@ -119,10 +118,10 @@ def hdbscan_plan() -> Plan:
     """The default HDBSCAN* plan.
 
     Inputs: ``points``, ``mpts``, ``leaf_size``, ``min_cluster_size``,
-    ``allow_single_cluster``, ``dendrogram_algorithm`` and ``cost_model``
-    (which may be ``None``), as :func:`hdbscan` passes them.  Final
-    artifacts: ``knn``, ``mst``, ``dendrogram``, ``pandora_stats``,
-    ``condensed``, ``selected``, ``flat``.  Recompose with
+    ``allow_single_cluster`` and ``dendrogram_algorithm``, as
+    :func:`hdbscan` passes them.  Final artifacts: ``knn``, ``mst``,
+    ``dendrogram``, ``pandora_stats``, ``condensed``, ``selected``,
+    ``flat``.  Recompose with
     :meth:`~repro.engine.plan.Plan.replace`, as the engine does for its
     cached ``knn`` and ``emst`` phases.
     """
@@ -148,7 +147,6 @@ def hdbscan(
     dendrogram_algorithm: str = "pandora",
     allow_single_cluster: bool = False,
     leaf_size: int = 96,
-    cost_model: CostModel | None = None,
     plan: Plan | None = None,
 ) -> HDBSCANResult:
     """Hierarchical density-based clustering of a point cloud.
@@ -168,8 +166,6 @@ def hdbscan(
         Permit the root cluster to be selected.
     leaf_size:
         kd-tree leaf size for the EMST.
-    cost_model:
-        Optional kernel-trace sink for device-model pricing.
     plan:
         Optional recomposed :class:`~repro.engine.plan.Plan`; defaults to
         :func:`hdbscan_plan`.  :class:`~repro.engine.Engine` passes one
@@ -184,6 +180,9 @@ def hdbscan(
         :class:`~repro.spatial.emst.EMSTResult`, PANDORA stats when that
         algorithm ran, and the plan's bucket wall times in
         ``phase_seconds`` (``mst`` / ``dendrogram`` / ``extraction``).
+        Inside :func:`~repro.parallel.machine.tracking`, the kernel trace
+        carries the same buckets, except that PANDORA's kernels keep its
+        own ``sort`` / ``contraction`` / ``expansion``.
 
     Raises
     ------
@@ -207,7 +206,7 @@ def hdbscan(
         points=points, mpts=mpts, leaf_size=leaf_size,
         min_cluster_size=min_cluster_size,
         allow_single_cluster=allow_single_cluster,
-        dendrogram_algorithm=dendrogram_algorithm, cost_model=cost_model,
+        dendrogram_algorithm=dendrogram_algorithm,
     ))
     a, flat = result.artifacts, result["flat"]
     return HDBSCANResult(

@@ -66,7 +66,7 @@ from .primitives import (
     sort,
 )
 from .sortlib import (
-    RADIX_MIN_N,
+    RADIX_KEYS_PER_PASS,
     SortPlan,
     encode_weights_descending,
     explain_plans,
@@ -123,7 +123,7 @@ __all__ = [
     "set_debug_checks",
     "debug_checks_set",
     # sort engine
-    "RADIX_MIN_N",
+    "RADIX_KEYS_PER_PASS",
     "SortPlan",
     "encode_weights_descending",
     "stable_argsort_unsigned",

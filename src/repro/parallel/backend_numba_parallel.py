@@ -309,12 +309,13 @@ class NumbaParallelBackend(NumbaBackend):
         """Compile (or touch) every kernel, including the radix passes.
 
         The inherited warmup covers the shared kernel names; the radix
-        signatures (one per key dtype) need above-threshold inputs, so the
-        u64 canonical path and the u16/u32 bounded paths are each driven
-        once at ``RADIX_MIN_N`` elements.
+        signatures (one per key dtype) need inputs large enough for their
+        pass count, so the u64 canonical path (four passes) and the u16/u32
+        bounded paths (one pass) are each driven once at four times
+        ``RADIX_KEYS_PER_PASS`` elements.
         """
         super().warmup()
-        n = sortlib.RADIX_MIN_N
+        n = 4 * sortlib.RADIX_KEYS_PER_PASS
         w = np.linspace(1.0, 0.0, n)
         self.canonical_sort_order(w, np.arange(n, dtype=np.int64))
         small = np.arange(n, dtype=np.int64) % 7

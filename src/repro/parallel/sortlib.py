@@ -37,16 +37,19 @@ comes from the active workspace per the PR-1 reuse contract; the returned
 permutation is always a fresh, caller-owned array.
 
 **Strategy selection** (:func:`plan_unsigned`, :func:`plan_bounded`,
-:class:`SortPlan`).  Per call the engine picks comparison ``argsort`` below
-:data:`RADIX_MIN_N` elements (measured crossover ~1-2k), an identity
-``arange`` when every key is equal, and otherwise radix with the **fewest
-provably sufficient passes**: the varying-bit mask (OR-reduction of
+:class:`SortPlan`).  Per call the engine finds the **fewest provably
+sufficient passes**: the varying-bit mask (OR-reduction of
 ``keys ^ keys[0]``) determines which 16-bit windows actually differ, so
 int32-regime ids take two passes, chain-stitch keys (bounded by
 ``2 * n_edges + 1``) take a 16-bit plus an 8-bit pass, and constant
-prefixes/suffixes are skipped entirely.  :func:`explain_plans` reports the
-policy for a given ``n`` (surfaced by ``python -m repro devices
---explain-sort``) so perf triage never requires reading this source.
+prefixes/suffixes are skipped entirely.  It picks an identity ``arange``
+when every key is equal, radix when there are at least
+:data:`RADIX_KEYS_PER_PASS` keys per pass, and comparison ``argsort``
+otherwise: each pass has a fixed cost that only enough keys amortize, so
+four passes lose to ``argsort`` at 2,000 keys where two already win.
+:func:`explain_plans` reports the policy for a given ``n`` (surfaced by
+``python -m repro devices --explain-sort``) so perf triage never requires
+reading this source.
 
 Strategy choice is invisible to the backend contract: every path realizes
 the same stable total order bit-identically, and the narrowing/pass
@@ -67,13 +70,14 @@ LSD passes admit exactly one output order.
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "RADIX_MIN_N",
+    "RADIX_KEYS_PER_PASS",
     "DIGIT_BITS",
     "SortPlan",
     "plan_unsigned",
@@ -87,10 +91,12 @@ __all__ = [
     "explain_plans",
 ]
 
-#: Below this many elements the engine uses a comparison ``argsort``: the
-#: fixed per-pass overhead of digit extraction dominates (measured crossover
-#: between ~500 and ~2000 elements on CPython/NumPy).
-RADIX_MIN_N = 1024
+#: Radix runs only with at least this many keys per pass; below it the
+#: fixed per-pass overhead of digit extraction loses to a comparison
+#: ``argsort``.  Measured (ABBA batches, random keys, NumPy 2.4, 2 cores):
+#: radix/argsort crosses 1.0 at about 1,400 keys for two passes, 1,800 for
+#: three and 2,400 for four.
+RADIX_KEYS_PER_PASS = 700
 
 #: Radix digit width.  16-bit digits halve the pass count of NumPy's own
 #: 8-bit-digit integer radix while each pass still runs its C counting
@@ -166,9 +172,12 @@ def encode_weights_descending(weights, out=None, workspace=None) -> np.ndarray:
 class SortPlan:
     """The strategy the engine picked (or would pick) for one sort call.
 
-    ``strategy`` is ``"argsort"`` (comparison sort, small n),
-    ``"identity"`` (all keys equal) or ``"radix"``;  ``windows`` lists the
-    radix passes as ``(shift, digit_bits)`` tuples, low digit first.
+    ``strategy`` is ``"argsort"`` (comparison sort, too few keys per
+    pass), ``"identity"`` (all keys equal) or ``"radix"``;  ``windows``
+    lists the radix passes as ``(shift, digit_bits)`` tuples, low digit
+    first.  An ``argsort`` plan's windows are empty below one pass's
+    crossover, where the keys are never scanned, and may be a sample's
+    lower bound above it (see :func:`runtime_mask`).
     """
 
     n: int
@@ -181,15 +190,20 @@ class SortPlan:
         return len(self.windows)
 
     def describe(self) -> str:
+        passes = f"{self.n_passes} passes: " + "+".join(
+            str(w) for _, w in self.windows) + " bits"
         if self.strategy == "radix":
-            digits = "+".join(str(w) for _, w in self.windows)
-            return f"radix ({self.n_passes} passes: {digits} bits)"
+            return f"radix ({passes})"
         if self.strategy == "argsort":
-            return f"argsort (n < {RADIX_MIN_N})" if self.n < RADIX_MIN_N \
-                else "argsort"
+            need = RADIX_KEYS_PER_PASS * max(self.n_passes, 1)
+            return f"argsort (n < {need}" + (
+                f" for {passes})" if self.windows else ")")
         return self.strategy
 
 
+# Cached: every sort call plans, and at a few thousand keys the planning
+# itself is a visible share of the sort.
+@functools.lru_cache(maxsize=256)
 def pass_windows(mask: int) -> tuple[tuple[int, int], ...]:
     """Greedy digit windows covering every set bit of ``mask``, LSB first.
 
@@ -231,21 +245,27 @@ def varying_bit_mask(keys: np.ndarray) -> int:
 _MASK_SAMPLE_STRIDE = 257
 
 
-def runtime_mask(keys: np.ndarray) -> int:
-    """Varying-bit mask, skipping the full scan when it provably cannot pay.
+def runtime_mask(keys: np.ndarray, max_passes: int) -> int:
+    """Varying-bit mask, skipping the full scan when it cannot change the plan.
 
-    A strided sample's mask is a subset of the true mask; if the sample
-    already demands the worst-case pass structure, the full reduction could
-    only confirm it, so the worst-case mask is returned after touching
-    ~1/257th of the array.  Otherwise the exact full-array mask is computed
-    (that is exactly the case where it can drop passes).
+    A strided sample's mask is a subset of the true mask, so its windows
+    never outnumber the true ones.  If the sample already demands the
+    worst-case pass structure, the full reduction could only confirm it,
+    so the worst-case mask is returned; if it demands more than
+    ``max_passes`` passes, the plan is ``argsort`` whatever the rest holds,
+    so the sample's mask is returned.  Both touch ~1/257th of the array.
+    Otherwise the exact full-array mask is computed (exactly the case
+    where it can drop passes).
     """
     full_width = (1 << (keys.dtype.itemsize * 8)) - 1
     sample = int(np.bitwise_or.reduce(
         keys[::_MASK_SAMPLE_STRIDE] ^ keys[0]
     ))
-    if pass_windows(sample) == pass_windows(full_width):
+    windows = pass_windows(sample)
+    if windows == pass_windows(full_width):
         return full_width
+    if len(windows) > max_passes:
+        return sample
     return varying_bit_mask(keys)
 
 
@@ -254,20 +274,24 @@ def plan_unsigned(
 ) -> SortPlan:
     """Strategy for a stable argsort of unsigned keys.
 
-    ``mask`` is the varying-bit mask when known; ``keys`` has it computed
-    from the keys themselves (:func:`runtime_mask`, scanned only when the
-    radix is in play).  With neither, the plan is for the worst case (all
-    ``key_bits`` varying) -- what ``explain_plans`` reports statically.
+    Radix when ``n >= RADIX_KEYS_PER_PASS * len(windows)``.  ``mask`` is the
+    varying-bit mask when known; ``keys`` has it computed from the keys
+    themselves (:func:`runtime_mask`), scanned only when ``n`` reaches one
+    pass's crossover, since below it no pass count can pay.  With neither,
+    the plan is for the worst case (all ``key_bits`` varying) -- what
+    ``explain_plans`` reports statically.
     """
-    if n < RADIX_MIN_N:
+    if n < RADIX_KEYS_PER_PASS:
         return SortPlan(n, key_bits, "argsort")
     if keys is not None:
-        mask = runtime_mask(keys)
+        mask = runtime_mask(keys, n // RADIX_KEYS_PER_PASS)
     elif mask is None:
         mask = (1 << key_bits) - 1
     windows = pass_windows(mask)
     if not windows:
         return SortPlan(n, key_bits, "identity")
+    if n < RADIX_KEYS_PER_PASS * len(windows):
+        return SortPlan(n, key_bits, "argsort", windows)
     return SortPlan(n, key_bits, "radix", windows)
 
 

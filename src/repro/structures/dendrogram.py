@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..parallel import UnionFind
+from ..parallel.connected import compress_labels, connected_components
+from ..parallel.workspace import index_dtype
 from .edgelist import InvalidGraphError, SortedEdgeList
 
 __all__ = ["Dendrogram", "EDGE_LEAF", "EDGE_CHAIN", "EDGE_ALPHA"]
@@ -267,19 +269,47 @@ class Dendrogram:
         """Flat single-linkage clusters: merge along edges with w <= threshold.
 
         Returns ``(n_vertices,)`` labels in ``0..k-1`` (cluster of the
-        smallest member vertex first), matching
+        smallest member vertex first) in the index dtype, matching
         ``scipy.cluster.hierarchy.fcluster(Z, threshold, 'distance')`` up to
-        label permutation.  A NaN threshold raises ``ValueError``;
-        ``+-inf`` give one cluster / all singletons.
+        label permutation.  The one-threshold case of :meth:`cut_many`: a
+        NaN threshold raises ``ValueError``; ``+-inf`` give one cluster /
+        all singletons.
         """
-        from ..parallel.connected import components_of_forest
+        return self.cut_many([threshold])[0].astype(index_dtype(self.n_vertices))
 
-        if np.isnan(threshold):
-            raise ValueError("cut threshold must not be NaN")
-        mask = self.edges.w <= threshold
-        sub = np.stack([self.edges.u[mask], self.edges.v[mask]], axis=1)
-        labels, _k = components_of_forest(self.n_vertices, sub)
-        return labels
+    def cut_many(self, thresholds) -> np.ndarray:
+        """Flat clusterings at many thresholds in one incremental pass.
+
+        Returns a ``(len(thresholds), n_vertices)`` int64 label matrix whose
+        row ``i`` is the :meth:`cut` at ``thresholds[i]``.  Thresholds are
+        processed in ascending order and the connected-components state is
+        carried between them, so each additional cut costs only the *newly*
+        merged edges plus one relabeling.  A NaN threshold raises
+        ``ValueError``.
+        """
+        nv = self.n_vertices
+        thresholds = np.asarray(list(thresholds), dtype=np.float64)
+        if np.isnan(thresholds).any():
+            raise ValueError("cut thresholds must not be NaN")
+        out = np.empty((thresholds.size, nv), dtype=np.int64)
+        # Canonical order is weight-descending; reverse for an ascending
+        # sweep (ties within equal weights are order-independent: unions
+        # commute and labels stay min-vertex-id representatives).
+        w_asc = self.edges.w[::-1]
+        u_asc = self.edges.u[::-1]
+        v_asc = self.edges.v[::-1]
+        labels = np.arange(nv, dtype=np.int64)
+        pos = 0
+        for t in np.argsort(thresholds, kind="stable"):
+            hi = int(np.searchsorted(w_asc, thresholds[t], side="right"))
+            if hi > pos:
+                eu = labels[u_asc[pos:hi]]
+                ev = labels[v_asc[pos:hi]]
+                merged = connected_components(nv, np.stack([eu, ev], axis=1))
+                labels = merged[labels]
+                pos = hi
+            out[t] = compress_labels(labels)[0]
+        return out
 
     def subtree_sizes(self) -> np.ndarray:
         """Number of data points under each edge node.

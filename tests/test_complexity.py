@@ -18,7 +18,7 @@ import math
 import pytest
 
 from repro import pandora
-from repro.parallel.machine import CostModel
+from repro.parallel.machine import CostModel, tracking
 from repro.structures.tree import random_spanning_tree
 
 SIZES = [2_000, 16_000, 128_000]
@@ -27,7 +27,8 @@ SIZES = [2_000, 16_000, 128_000]
 def trace_for(n, rng, skew):
     u, v, w = random_spanning_tree(n, rng, skew=skew)
     model = CostModel()
-    _, stats = pandora(u, v, w, cost_model=model)
+    with tracking(model):
+        _, stats = pandora(u, v, w)
     return model, stats
 
 

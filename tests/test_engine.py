@@ -180,14 +180,6 @@ class TestArtifactCache:
         assert cache.put(("k",), "first") == "first"
         assert cache.put(("k",), "second") == "first"
 
-    def test_get_or_compute(self):
-        cache = ArtifactCache()
-        calls = []
-        for _ in range(3):
-            v = cache.get_or_compute(("k",), lambda: calls.append(1) or "v")
-            assert v == "v"
-        assert len(calls) == 1
-
 
 # ---------------------------------------------------------------------------
 # Engine.fit parity: bit-identical parents + traces vs direct pandora()

@@ -197,20 +197,35 @@ class TestPipelinePlan:
     """``hdbscan()`` runs ``hdbscan_plan()``; the engine runs a variant of
     it.  Both keep the pipeline's entry errors and kernel traces."""
 
-    def test_cost_model_trace_matches_pandora(self):
+    def test_tracked_trace_tags_every_phase(self):
+        """Inside ``tracking()``, every record carries its plan bucket:
+        knn/emst ``mst``, extraction ``extraction``, and PANDORA's kernels
+        exactly the records of a tracked ``pandora()`` on the same MST."""
         from repro.core.pandora import pandora
-        from repro.parallel.machine import CostModel
+        from repro.parallel.machine import CostModel, tracking
 
         pts, _, _ = blob_result()
         model = CostModel()
-        res = hdbscan(pts, mpts=4, min_cluster_size=10, cost_model=model)
+        with tracking(model):
+            res = hdbscan(pts, mpts=4, min_cluster_size=10)
         ref = CostModel()
-        pandora(res.mst.u, res.mst.v, res.mst.w, len(pts), cost_model=ref)
+        with tracking(ref):
+            pandora(res.mst.u, res.mst.v, res.mst.w, len(pts))
 
         def trace(m):
             return [(r.name, r.category, r.work, r.phase) for r in m.records]
 
-        assert trace(model) and trace(model) == trace(ref)
+        got, want = trace(model), trace(ref)
+        assert want and all(r[3] for r in got)
+        start = next(i for i, r in enumerate(got)
+                     if r[3] in ("sort", "contraction", "expansion"))
+        end = start + len(want)
+        assert got[start:end] == want
+        assert start and {r[3] for r in got[:start]} == {"mst"}
+        tail = got[end:]
+        assert tail and {r[3] for r in tail} == {"extraction"}
+        assert {r[0].split(".")[0] for r in tail} >= {"condense", "select",
+                                                      "labels"}
 
     @staticmethod
     def entry(kind):

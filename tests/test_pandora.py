@@ -15,7 +15,7 @@ from repro import (
     pandora,
 )
 from repro.core.pandora import pandora_parents
-from repro.parallel import CostModel
+from repro.parallel import CostModel, tracking
 from repro.structures.edgelist import sort_edges_descending
 from repro.structures.tree import random_spanning_tree
 
@@ -142,7 +142,8 @@ class TestPandoraStats:
     def test_cost_model_capture(self, rng):
         u, v, w = random_spanning_tree(60, rng)
         model = CostModel()
-        pandora(u, v, w, cost_model=model)
+        with tracking(model):
+            pandora(u, v, w)
         assert model.kernel_count() > 0
         assert set(model.phases()) == {"sort", "contraction", "expansion"}
 

@@ -30,7 +30,7 @@ from repro.parallel import (
 )
 from repro.parallel.primitives import argsort_bounded
 from repro.parallel.sortlib import (
-    RADIX_MIN_N,
+    RADIX_KEYS_PER_PASS,
     SortPlan,
     encode_weights_descending,
     explain_plans,
@@ -68,7 +68,8 @@ class TestWeightKeyEncoding:
     def test_matches_lexsort_on_adversarial_weights(self, rng):
         """Property: encoded-u64 stable order == lexsort((ids, -w)) exactly,
         with duplication, +-0.0, +-inf, subnormals, and a negative offset."""
-        for n in (0, 1, 2, 7, 100, RADIX_MIN_N - 1, RADIX_MIN_N, 5000):
+        for n in (0, 1, 2, 7, 100, RADIX_KEYS_PER_PASS - 1, RADIX_KEYS_PER_PASS,
+                  5000):
             w = adversarial_weights(rng, n)
             key = encode_weights_descending(w)
             order = stable_argsort_unsigned(key)
@@ -132,7 +133,8 @@ class TestWeightKeyEncoding:
 class TestStableArgsort:
     def test_unsigned_matches_numpy_stable(self, rng):
         for dtype in (np.uint16, np.uint32, np.uint64):
-            for n in (0, 1, 2, RADIX_MIN_N - 1, RADIX_MIN_N, 4096, 50_000):
+            for n in (0, 1, 2, RADIX_KEYS_PER_PASS - 1, RADIX_KEYS_PER_PASS,
+                      4096, 50_000):
                 hi = int(np.iinfo(dtype).max)
                 keys = rng.integers(0, hi, size=n, dtype=dtype,
                                     endpoint=True)
@@ -181,7 +183,7 @@ class TestStableArgsort:
     def test_bounded_rejects_empty_range(self, backend):
         with use_backend(backend) as b:
             with pytest.raises(ValueError, match="empty key bound"):
-                b.argsort_bounded(np.zeros(RADIX_MIN_N, np.int64), 1, 0)
+                b.argsort_bounded(np.zeros(RADIX_KEYS_PER_PASS, np.int64), 1, 0)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_bounded_rejects_empty_range_below_radix_min_n(self, backend):
@@ -207,9 +209,14 @@ class TestStableArgsort:
 
 class TestStrategyPolicy:
     def test_small_n_uses_comparison_argsort(self):
-        plan = plan_unsigned(RADIX_MIN_N - 1, 64)
-        assert plan.strategy == "argsort"
-        assert plan_unsigned(RADIX_MIN_N, 64).strategy == "radix"
+        # Radix needs RADIX_KEYS_PER_PASS keys per pass: one 16-bit window
+        # switches at the constant, four windows at four times it.
+        per_pass = RADIX_KEYS_PER_PASS
+        assert plan_unsigned(per_pass - 1, 16).strategy == "argsort"
+        assert plan_unsigned(per_pass, 16).strategy == "radix"
+        plan = plan_unsigned(4 * per_pass - 1, 64)
+        assert (plan.strategy, plan.n_passes) == ("argsort", 4)
+        assert plan_unsigned(4 * per_pass, 64).strategy == "radix"
 
     def test_full_u64_is_four_passes(self):
         plan = plan_unsigned(1_000_000, 64)
@@ -229,6 +236,15 @@ class TestStrategyPolicy:
         plan = plan_unsigned(10**6, 64, mask=mask)
         assert plan.windows == ((32, 8),)
         assert plan_unsigned(10**6, 64, mask=0).strategy == "identity"
+
+    def test_describe_names_the_crossover(self):
+        assert plan_unsigned(10, 64).describe() == \
+            f"argsort (n < {RADIX_KEYS_PER_PASS})"
+        assert plan_unsigned(2000, 31).describe() == \
+            "radix (2 passes: 16+16 bits)"
+        assert plan_unsigned(2000, 64).describe() == (
+            f"argsort (n < {4 * RADIX_KEYS_PER_PASS} for 4 passes: "
+            "16+16+16+16 bits)")
 
     def test_varying_bit_mask(self, rng):
         keys = np.array([0b1010, 0b1000, 0b1110], dtype=np.uint64)
@@ -257,6 +273,33 @@ class TestStrategyPolicy:
         assert all("argsort" in r["strategy"] for r in small)
 
 
+class TestPassCountRule:
+    """The strategy follows the runtime pass count of the keys themselves:
+    radix only with ``RADIX_KEYS_PER_PASS`` keys per pass.  Plans only,
+    never timings, so the rule is checked deterministically."""
+
+    @staticmethod
+    def keys(n, windows, rng):
+        top = (1 << (16 * windows)) - 1
+        keys = rng.integers(0, top, size=n, dtype=np.uint64, endpoint=True)
+        keys[:2] = (0, top)  # every one of the windows varies
+        return keys
+
+    def test_four_windows_at_2000_keys_use_argsort(self, rng):
+        plan = plan_unsigned(2000, 64, keys=self.keys(2000, 4, rng))
+        assert (plan.strategy, plan.n_passes) == ("argsort", 4)
+
+    def test_two_windows_at_2000_keys_use_radix(self, rng):
+        plan = plan_unsigned(2000, 64, keys=self.keys(2000, 2, rng))
+        assert (plan.strategy, plan.n_passes) == ("radix", 2)
+
+    def test_u64_keys_at_four_crossovers_use_radix(self, rng):
+        n = 4 * RADIX_KEYS_PER_PASS
+        plan = plan_unsigned(n, 64, keys=self.keys(n, 4, rng))
+        assert (plan.strategy, plan.n_passes) == ("radix", 4)
+        assert plan_unsigned(n, 64).strategy == "radix"
+
+
 # ---------------------------------------------------------------------------
 # The argsort_bounded vocabulary method (chain-stitch sort)
 # ---------------------------------------------------------------------------
@@ -269,7 +312,7 @@ class TestArgsortBoundedVocabulary:
         """The chain-stitch replacement: a stable single-key sort on the
         bounded chain key equals lexsort((edge_ids, key)) because edge_ids
         is the identity -- on every backend, both dtype regimes, below and
-        above ``RADIX_MIN_N``."""
+        above the radix crossover."""
         for n in (0, 1, 37, 2000, 10_000):
             with dtype_regime(regime):
                 dt = np.int32 if regime == "int32" else np.int64
